@@ -28,7 +28,7 @@ from . import neuralnet as nn
 from . import ppo, transfer
 from .config import ConfigError, RunConfig, as_flat_dict, default_config, \
     load_config, write_config
-from .env import EpisodeCounter, HoverEnv, Platform
+from .env import EpisodeCounter, HoverEnv, Platform, write_trace
 from .evalsuite import (SUMMARY_HEADER, default_square_mission, run_fault_ablation,
                         run_hover_eval, run_waypoint_mission, summary_rows)
 from .neuralnet import ShapeMismatchError
@@ -91,7 +91,7 @@ def _run_training(out_dir, platform, cfg: RunConfig, seed, policy, critic,
     def checkpoint_fn(u, pol, cri, po, co):
         _save(os.path.join(out_dir, f"checkpoint_{u + 1:05d}.bin"),
               pol, cri, po, co, seed,
-              (u + 1) * cfg.train.rollout_horizon * cfg.train.n_envs)
+              (u + 1) * cfg.train.rollout_horizon)
 
     log = ppo.train(envs, policy, critic, cfg.train, train_rng,
                     policy_opt=p_opt, critic_opt=c_opt,
@@ -109,9 +109,10 @@ def cmd_train_quad(args) -> int:
         "train_log": "train_log.csv", "final_checkpoint": "checkpoint_final.bin"})
     init_rng, train_rng = _train_rngs(seed)
     h = cfg.train.hidden_sizes
-    policy = nn.make_mlp([18, *h, 4], init_rng, output_tanh=True)
-    critic = nn.make_mlp([18, *h, 1], init_rng, output_tanh=False)
-    _run_training(args.out, Platform.QUAD, cfg, seed, policy, critic, train_rng)
+    quad = Platform.QUAD
+    policy = nn.make_mlp([quad.obs_dim, *h, quad.act_dim], init_rng, output_tanh=True)
+    critic = nn.make_mlp([quad.obs_dim, *h, 1], init_rng, output_tanh=False)
+    _run_training(args.out, quad, cfg, seed, policy, critic, train_rng)
     return 0
 
 
@@ -135,8 +136,9 @@ def cmd_train_tilt(args) -> int:
             fh.write(actor_report.to_csv() + "\n" + critic_report.to_csv() + "\n")
     else:
         h = cfg.train.hidden_sizes
-        policy = nn.make_mlp([22, *h, 8], init_rng, output_tanh=True)
-        critic = nn.make_mlp([22, *h, 1], init_rng, output_tanh=False)
+        tilt = Platform.TILT_ROTOR
+        policy = nn.make_mlp([tilt.obs_dim, *h, tilt.act_dim], init_rng, output_tanh=True)
+        critic = nn.make_mlp([tilt.obs_dim, *h, 1], init_rng, output_tanh=False)
     _run_training(args.out, Platform.TILT_ROTOR, cfg, seed, policy, critic, train_rng)
     return 0
 
@@ -160,14 +162,10 @@ def cmd_eval(args) -> int:
         actor = _load_actor(args.checkpoint)
 
     if args.mode == "hover":
-        platform = Platform.QUAD if actor.in_dim == 18 else Platform.TILT_ROTOR
+        platform = (Platform.QUAD if actor.in_dim == Platform.QUAD.obs_dim
+                    else Platform.TILT_ROTOR)
         results = run_hover_eval(actor, platform, cfg.sim, args.trials, seed,
-                                 record_traces=True)
-        for r in results:
-            from .env import write_trace
-            write_trace(os.path.join(args.out, f"hover_trace_{r.trial:03d}.csv"),
-                        r.trace)
-            r.trace = None
+                                 trace_dir=args.out)
         _write_summary(args.out, results, 0)
         n_ok = sum(r.success for r in results)
         print(f"hover eval: {n_ok}/{len(results)} successes")
@@ -180,10 +178,7 @@ def cmd_eval(args) -> int:
         mission = default_square_mission()
         controller = "pid" if args.controller == "pid" else actor
         res = run_waypoint_mission(controller, mission, cfg.sim, gains=cfg.pid)
-        from .env import TRACE_HEADER
-        with open(os.path.join(args.out, "waypoint_trace.csv"), "w") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            fh.write("\n".join(res.trace) + "\n")
+        write_trace(os.path.join(args.out, "waypoint_trace.csv"), res.trace)
         print(f"waypoint mission: visited {sum(res.hits)}/{len(mission.waypoints)}"
               f" -> {'ok' if res.all_visited else 'FAILED'}")
         return 0 if res.all_visited else 2

@@ -9,7 +9,6 @@ variable overrides the corresponding value.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 

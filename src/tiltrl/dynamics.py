@@ -14,7 +14,7 @@ body rates (3), tilt angles (4), actual thrusts (4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class RigidState:
         return cls(y[0:3].copy(), y[3:6].copy(), y[6:10].copy(),
                    y[10:13].copy(), y[13:17].copy(), y[17:21].copy())
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.to_flat()).all())
-
 
 @dataclass
 class ActuatorCommand:
@@ -118,18 +115,6 @@ class ActuatorCommand:
     @classmethod
     def hover(cls, params: SimParams) -> "ActuatorCommand":
         return cls(np.full(4, params.hover_thrust_n), np.zeros(4))
-
-
-@dataclass
-class RigidStateDot:
-    """Time derivative of RigidState, same field layout."""
-
-    position_m: np.ndarray
-    velocity_mps: np.ndarray
-    orientation: np.ndarray
-    body_rates_radps: np.ndarray
-    tilt_angles_rad: np.ndarray
-    thrusts_n: np.ndarray
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -180,41 +165,15 @@ def _euler_from_rot(r: np.ndarray) -> tuple[float, float, float]:
     return roll, pitch, yaw
 
 
-def body_wrench(state: RigidState, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
-    """Body-frame force and torque from rotor thrusts and tilt angles.
+def derivative(y, thrust_cmd, tilt_cmd, p: SimParams) -> list:
+    """Time derivative of the flat 21-state under held thrust and tilt-rate
+    commands. Hot path: scalar math only.
 
-    The force excludes gravity (applied in world frame) and the torque
-    excludes the gyroscopic -omega x I omega term (applied in `derivative`).
-    Rotor drag moments are M_i = moment_ratio_m * F_i, directed along each
-    rotor's thrust axis with sign rotor_spin_signs[i].
+    The body-frame wrench comes from the rotor thrusts and tilt angles;
+    gravity is applied in the world frame and the gyroscopic term in
+    Euler's equations. Rotor drag moments are M_i = moment_ratio_m * F_i,
+    directed along each rotor's thrust axis with sign rotor_spin_signs[i].
     """
-    th = state.tilt_angles_rad
-    f = state.thrusts_n
-    s1, s2, s3, s4 = np.sin(th)
-    c1, c2, c3, c4 = np.cos(th)
-    f1, f2, f3, f4 = f
-    l = params.arm_length_m
-    k = params.moment_ratio_m
-    g1, g2, g3, g4 = params.rotor_spin_signs
-    m1, m2, m3, m4 = k * f1, k * f2, k * f3, k * f4
-
-    force = np.array([
-        f2 * s2 + f4 * s4,
-        -f1 * s1 - f3 * s3,
-        f1 * c1 + f2 * c2 + f3 * c3 + f4 * c4,
-    ])
-    # Thrust lever arms plus axial rotor moments resolved on body axes.
-    torque = np.array([
-        l * (f2 * c2 - f4 * c4) + g2 * m2 * s2 + g4 * m4 * s4,
-        l * (f3 * c3 - f1 * c1) - g1 * m1 * s1 - g3 * m3 * s3,
-        l * (-f1 * s1 - f2 * s2 + f3 * s3 + f4 * s4)
-        + g1 * m1 * c1 + g2 * m2 * c2 + g3 * m3 * c3 + g4 * m4 * c4,
-    ])
-    return force, torque
-
-
-def _deriv_list(y, thrust_cmd, tilt_cmd, p: SimParams) -> list:
-    """State derivative on a flat 21-sequence. Hot path: scalar math only."""
     vx, vy, vz = y[3], y[4], y[5]
     qw, qx, qy, qz = y[6], y[7], y[8], y[9]
     wx, wy, wz = y[10], y[11], y[12]
@@ -235,6 +194,7 @@ def _deriv_list(y, thrust_cmd, tilt_cmd, p: SimParams) -> list:
     fy = -f1 * s1 - f3 * s3
     fz = f1 * c1 + f2 * c2 + f3 * c3 + f4 * c4
 
+    # Thrust lever arms plus axial rotor moments resolved on body axes.
     tx = l * (f2 * c2 - f4 * c4) + g2 * m2 * s2 + g4 * m4 * s4
     ty = l * (f3 * c3 - f1 * c1) - g1 * m1 * s1 - g3 * m3 * s3
     tz = (l * (-f1 * s1 - f2 * s2 + f3 * s3 + f4 * s4)
@@ -293,16 +253,6 @@ def _deriv_list(y, thrust_cmd, tilt_cmd, p: SimParams) -> list:
     ]
 
 
-def _deriv_flat(y, thrust_cmd, tilt_cmd, p: SimParams) -> np.ndarray:
-    return np.array(_deriv_list(y, thrust_cmd, tilt_cmd, p))
-
-
-def derivative(state: RigidState, cmd: ActuatorCommand, params: SimParams) -> RigidStateDot:
-    """Time derivative of the full state under a held actuator command."""
-    d = _deriv_flat(state.to_flat(), cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, params)
-    return RigidStateDot(d[0:3], d[3:6], d[6:10], d[10:13], d[13:17], d[17:21])
-
-
 def step_flat(y: np.ndarray, thrust_cmd, tilt_cmd, params: SimParams) -> np.ndarray:
     """One RK4 step on the flat state vector with zero-order-hold commands."""
     dt = params.dt_s
@@ -310,10 +260,10 @@ def step_flat(y: np.ndarray, thrust_cmd, tilt_cmd, params: SimParams) -> np.ndar
     tc = thrust_cmd.tolist() if isinstance(thrust_cmd, np.ndarray) else thrust_cmd
     rc = tilt_cmd.tolist() if isinstance(tilt_cmd, np.ndarray) else tilt_cmd
     h = 0.5 * dt
-    k1 = _deriv_list(yl, tc, rc, params)
-    k2 = _deriv_list([a + h * b for a, b in zip(yl, k1)], tc, rc, params)
-    k3 = _deriv_list([a + h * b for a, b in zip(yl, k2)], tc, rc, params)
-    k4 = _deriv_list([a + dt * b for a, b in zip(yl, k3)], tc, rc, params)
+    k1 = derivative(yl, tc, rc, params)
+    k2 = derivative([a + h * b for a, b in zip(yl, k1)], tc, rc, params)
+    k3 = derivative([a + h * b for a, b in zip(yl, k2)], tc, rc, params)
+    k4 = derivative([a + dt * b for a, b in zip(yl, k3)], tc, rc, params)
     w = dt / 6.0
     out = [a + w * (b + 2.0 * (c + d) + e)
            for a, b, c, d, e in zip(yl, k1, k2, k3, k4)]

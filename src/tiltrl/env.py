@@ -1,16 +1,21 @@
 """Hover MDP around the rigid-body simulator.
 
-Observations are error vectors (current minus desired) plus the flattened
+The observation is an error vector (current minus desired) plus the flattened
 body->world rotation matrix: 18 components for the quadcopter, 22 for the
 tilt-rotor (extra tilt-angle errors). Actions live in [-1, 1] per actuator
 and are scaled linearly to thrusts (centered at hover) and tilt rates.
+
+The MDP is four functions: `actuator_command` maps an action to actuator
+commands, `observation` and `termination` read the flat simulator state
+(layout in `dynamics`), and `reward` reads the observation and the clamped
+action. `HoverEnv` and the evaluation protocols both call them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +30,6 @@ from .dynamics import (
     step_flat,
     NonFiniteError,
 )
-
-
-_ZERO4 = np.zeros(4)
 
 
 class Platform(enum.Enum):
@@ -48,24 +50,6 @@ class TermStatus(enum.Enum):
     MAX_STEPS = "max_steps"
     OUT_OF_BOUNDS = "out_of_bounds"
     DIVERGED = "diverged"
-
-
-@dataclass
-class Observation:
-    """Error observation fed to the networks."""
-
-    e_p: np.ndarray                  # (3,) position error, m
-    e_v: np.ndarray                  # (3,) velocity error, m/s
-    r_flat: np.ndarray               # (9,) row-major body->world rotation
-    e_omega: np.ndarray              # (3,) body-rate error, rad/s
-    e_tilt: np.ndarray | None = None  # (4,) tilt-angle error, tilt-rotor only
-
-    @property
-    def vector(self) -> np.ndarray:
-        parts = [self.e_p, self.e_v, self.r_flat, self.e_omega]
-        if self.e_tilt is not None:
-            parts.append(self.e_tilt)
-        return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -104,42 +88,68 @@ class RewardWeights:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def observe(state: RigidState, target, platform: Platform) -> Observation:
-    """Error observation; desired velocity/rates/tilts are all zero."""
-    e_p = state.position_m - np.asarray(target, dtype=float)
-    r_flat = quat_to_rot(state.orientation).reshape(9)
-    e_tilt = state.tilt_angles_rad.copy() if platform is Platform.TILT_ROTOR else None
-    return Observation(e_p, state.velocity_mps.copy(), r_flat,
-                       state.body_rates_radps.copy(), e_tilt)
+def actuator_command(action: np.ndarray, platform: Platform,
+                     params: SimParams) -> tuple[np.ndarray, ActuatorCommand]:
+    """Clamp the action to [-1, 1] and scale it to physical commands.
+
+    Thrusts are centered at hover and clamped to their range; tilt rates
+    span the servo range on the tilt-rotor and are zero on the quadcopter.
+    Returns (clamped action, command)."""
+    a = np.clip(action, -1.0, 1.0)
+    flo, fhi = params.thrust_range_n
+    thrust = np.clip(params.hover_thrust_n + a[:4] * (fhi - flo) / 2.0, flo, fhi)
+    if platform is Platform.TILT_ROTOR:
+        rlo, rhi = params.tilt_rate_range_radps
+        rates = a[4:8] * (rhi - rlo) / 2.0
+    else:
+        rates = np.zeros(4)
+    return a, ActuatorCommand(thrust, rates)
 
 
-def scale_thrust(a: float, params: SimParams) -> float:
-    """Policy output in [-1, 1] -> rotor thrust in N, centered at hover."""
-    lo, hi = params.thrust_range_n
-    f = params.hover_thrust_n + a * (hi - lo) / 2.0
-    return min(hi, max(lo, f))
+def observation(y: np.ndarray, target, platform: Platform) -> np.ndarray:
+    """Error observation of the flat state: position error, velocity,
+    row-major body->world rotation, body rates and, on the tilt-rotor, tilt
+    angles. Desired velocity, rates and tilts are all zero."""
+    obs = np.empty(platform.obs_dim)
+    obs[0:3] = y[0:3] - target
+    obs[3:6] = y[3:6]
+    obs[6:15] = quat_to_rot(y[6:10]).reshape(9)
+    obs[15:18] = y[10:13]
+    if platform is Platform.TILT_ROTOR:
+        obs[18:22] = y[13:17]
+    return obs
 
 
-def scale_tilt_rate(a: float, params: SimParams) -> float:
-    """Policy output in [-1, 1] -> tilt servo rate in rad/s."""
-    lo, hi = params.tilt_rate_range_radps
-    return a * (hi - lo) / 2.0
-
-
-def reward(obs: Observation, action: np.ndarray, weights: RewardWeights,
-           euler: tuple[float, float, float], platform: Platform) -> float:
-    """Alive bonus minus weighted error/action norms. Yaw is never penalized."""
+def reward(obs: np.ndarray, a: np.ndarray, weights: RewardWeights) -> float:
+    """Alive bonus minus weighted norms of the observation's errors and of
+    the action. Roll and pitch come from the observation's rotation block;
+    yaw is never penalized. Tilt errors exist on the tilt-rotor only."""
+    e_p, e_v, e_omega, e_tilt = obs[0:3], obs[3:6], obs[15:18], obs[18:]
+    roll, pitch, _ = _euler_from_rot(obs[6:15].reshape(3, 3))
     w = weights
     r = (w.beta
-         - w.alpha_a * float(np.linalg.norm(action))
-         - w.alpha_p * float(np.linalg.norm(obs.e_p))
-         - w.alpha_v * float(np.linalg.norm(obs.e_v))
-         - w.alpha_omega * float(np.linalg.norm(obs.e_omega))
-         - w.alpha_roll * abs(euler[0])
-         - w.alpha_pitch * abs(euler[1]))
-    if platform is Platform.TILT_ROTOR:
-        r -= w.alpha_tilt * float(np.linalg.norm(obs.e_tilt))
+         - w.alpha_a * math.sqrt(float(a @ a))
+         - w.alpha_p * math.sqrt(float(e_p @ e_p))
+         - w.alpha_v * math.sqrt(float(e_v @ e_v))
+         - w.alpha_omega * math.sqrt(float(e_omega @ e_omega))
+         - w.alpha_roll * abs(roll) - w.alpha_pitch * abs(pitch))
+    if e_tilt.size:
+        r -= w.alpha_tilt * math.sqrt(float(e_tilt @ e_tilt))
     return r
+
+
+def termination(y: np.ndarray, t: int, cfg: EpisodeConfig) -> TermStatus:
+    """Episode status of the flat state after step t."""
+    yl = y.tolist()
+    if not all(map(math.isfinite, yl)):
+        return TermStatus.DIVERGED
+    if t >= cfg.max_steps:
+        return TermStatus.MAX_STEPS
+    hw = cfg.bound_halfwidth_m
+    tx, ty, tz = cfg.target_position_m
+    if abs(yl[0] - tx) > hw or abs(yl[1] - ty) > hw or abs(yl[2] - tz) > hw:
+        return TermStatus.OUT_OF_BOUNDS
+    return TermStatus.RUNNING
 
 
 def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
@@ -182,18 +192,6 @@ def reset_state(rng: np.random.Generator, cfg: EpisodeConfig,
         tilt_angles_rad=np.zeros(4),
         thrusts_n=np.full(4, params.hover_thrust_n),
     )
-
-
-def terminated(state: RigidState, t: int, cfg: EpisodeConfig) -> TermStatus:
-    """Episode status after step t."""
-    if not state.is_finite():
-        return TermStatus.DIVERGED
-    if t >= cfg.max_steps:
-        return TermStatus.MAX_STEPS
-    err = np.abs(state.position_m - np.asarray(cfg.target_position_m))
-    if np.any(err > cfg.bound_halfwidth_m):
-        return TermStatus.OUT_OF_BOUNDS
-    return TermStatus.RUNNING
 
 
 class EpisodeCounter:
@@ -244,77 +242,25 @@ class HoverEnv:
         return self.platform.act_dim
 
     def observe(self) -> np.ndarray:
-        return observe(self.state, self.cfg.target_position_m, self.platform).vector
+        return observation(self._y, self._target, self.platform)
 
     def reset(self) -> np.ndarray:
         self.state = reset_state(self.rng, self.cfg, self.counter.next(), self.params)
         self.t = 0
         return self.observe()
 
-    def command_from_action(self, action: np.ndarray) -> ActuatorCommand:
-        """Clamp to [-1, 1] and scale to physical actuator commands."""
-        a = np.clip(action, -1.0, 1.0)
-        thrust = np.array([scale_thrust(x, self.params) for x in a[:4]])
-        if self.platform is Platform.TILT_ROTOR:
-            rates = np.array([scale_tilt_rate(x, self.params) for x in a[4:8]])
-        else:
-            rates = np.zeros(4)
-        return ActuatorCommand(thrust, rates)
-
     def step(self, action: np.ndarray) -> tuple[np.ndarray, float, TermStatus]:
         """Apply one clamped/scaled action; reward is on the post-step state."""
-        p = self.params
-        a = np.clip(action, -1.0, 1.0)
-        flo, fhi = p.thrust_range_n
-        thrust = np.clip(p.hover_thrust_n + a[:4] * (fhi - flo) / 2.0, flo, fhi)
-        if self.platform is Platform.TILT_ROTOR:
-            rlo, rhi = p.tilt_rate_range_radps
-            rates = a[4:8] * (rhi - rlo) / 2.0
-        else:
-            rates = _ZERO4
+        a, cmd = actuator_command(action, self.platform, self.params)
         try:
-            y = step_flat(self._y, thrust, rates, p)
+            y = step_flat(self._y, cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, self.params)
         except NonFiniteError:
             self.t += 1
             return np.zeros(self.obs_dim), 0.0, TermStatus.DIVERGED
         self._y = y
         self.t += 1
-
-        cfg = self.cfg
-        e_p = y[0:3] - self._target
-        vel = y[3:6]
-        omega = y[10:13]
-        r_mat = quat_to_rot(y[6:10])
-        obs_vec = np.empty(self.obs_dim)
-        obs_vec[0:3] = e_p
-        obs_vec[3:6] = vel
-        obs_vec[6:15] = r_mat.reshape(9)
-        obs_vec[15:18] = omega
-        tilt = self.platform is Platform.TILT_ROTOR
-        if tilt:
-            obs_vec[18:22] = y[13:17]
-
-        roll, pitch, _ = _euler_from_rot(r_mat)
-        w = self.weights
-        rew = (w.beta
-               - w.alpha_a * math.sqrt(float(a @ a))
-               - w.alpha_p * math.sqrt(float(e_p @ e_p))
-               - w.alpha_v * math.sqrt(float(vel @ vel))
-               - w.alpha_omega * math.sqrt(float(omega @ omega))
-               - w.alpha_roll * abs(roll) - w.alpha_pitch * abs(pitch))
-        if tilt:
-            ta = y[13:17]
-            rew -= w.alpha_tilt * math.sqrt(float(ta @ ta))
-
-        if self.t >= cfg.max_steps:
-            status = TermStatus.MAX_STEPS
-        elif (abs(e_p[0]) > cfg.bound_halfwidth_m
-              or abs(e_p[1]) > cfg.bound_halfwidth_m
-              or abs(e_p[2]) > cfg.bound_halfwidth_m):
-            status = TermStatus.OUT_OF_BOUNDS
-        else:
-            status = TermStatus.RUNNING
-        return obs_vec, rew, status
+        obs = observation(y, self._target, self.platform)
+        return obs, reward(obs, a, self.weights), termination(y, self.t, self.cfg)
 
 
 TRACE_HEADER = ("t,x,y,z,vx,vy,vz,roll,pitch,yaw,p,q,r,"
@@ -322,16 +268,13 @@ TRACE_HEADER = ("t,x,y,z,vx,vy,vz,roll,pitch,yaw,p,q,r,"
                 "a1,a2,a3,a4,a5,a6,a7,a8,reward")
 
 
-def trace_row(t: int, state: RigidState, action: np.ndarray, rew: float) -> str:
-    """One CSV row of the episode trace schema (actions padded to 8)."""
-    roll, pitch, yaw = euler_zyx(state.orientation)
+def trace_row(t: int, y: np.ndarray, action: np.ndarray, rew: float) -> str:
+    """One CSV row of the episode trace schema for the flat state y
+    (actions padded to 8)."""
     a = np.zeros(8)
     a[:len(action)] = action
-    vals = ([t] + list(state.position_m) + list(state.velocity_mps)
-            + [roll, pitch, yaw] + list(state.body_rates_radps)
-            + list(state.tilt_angles_rad) + list(state.thrusts_n)
-            + list(a) + [rew])
-    return ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in vals)
+    vals = [*y[0:6].tolist(), *euler_zyx(y[6:10]), *y[10:21].tolist(), *a.tolist(), rew]
+    return f"{t}," + ",".join(f"{v:.9g}" for v in vals)
 
 
 def write_trace(path, rows: list[str]) -> None:

@@ -9,35 +9,20 @@ policies see identical conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import neuralnet as nn
 from .dynamics import (ActuatorCommand, NonFiniteError, RigidState, SimParams,
                        euler_zyx, quat_to_rot, step_flat)
-from .env import (EpisodeConfig, Platform, observe, reset_state, scale_thrust,
-                  scale_tilt_rate, trace_row)
+from .env import (EpisodeConfig, Platform, actuator_command, observation,
+                  reset_state, trace_row, write_trace)
 
 HOVER_TARGET = (0.0, 0.0, 3.0)
 SUCCESS_TOLERANCE_M = 0.2
 MAX_EVAL_STEPS = 1500
-
-
-@dataclass(frozen=True)
-class FaultModel:
-    """Tilt servos that obey the commanded rate only with some probability."""
-
-    faulty_servo_indices: tuple[int, ...] = ()
-    response_probability: float = 0.4
-
-    def __post_init__(self):
-        if not (0.0 <= self.response_probability <= 1.0):
-            raise ValueError("response_probability must be in [0, 1]")
-        if len(set(self.faulty_servo_indices)) != len(self.faulty_servo_indices):
-            raise ValueError("faulty servo indices must be distinct")
-        if any(i not in (0, 1, 2, 3) for i in self.faulty_servo_indices):
-            raise ValueError("servo indices must be in 0..3")
 
 
 @dataclass(frozen=True)
@@ -69,78 +54,75 @@ class TrialResult:
     final_euler_rad: tuple[float, float, float]
     final_tilt_rad: tuple[float, float, float, float]
     servo_ids: tuple[int, ...] = ()
-    trace: list[str] | None = None
 
 
-def policy_command(actor: nn.Mlp, state: RigidState, target,
+def policy_command(actor: nn.Mlp, y: np.ndarray, target,
                    platform: Platform, params: SimParams) -> tuple[ActuatorCommand, np.ndarray]:
-    """Deterministic actuator command from the policy mean."""
-    obs = observe(state, target, platform).vector
-    a = np.clip(nn.forward(actor, obs), -1.0, 1.0)
-    thrust = np.array([scale_thrust(x, params) for x in a[:4]])
-    if platform is Platform.TILT_ROTOR:
-        rates = np.array([scale_tilt_rate(x, params) for x in a[4:8]])
-    else:
-        rates = np.zeros(4)
-    return ActuatorCommand(thrust, rates), a
+    """Deterministic actuator command from the policy mean at the flat
+    state y. Returns (command, clamped action)."""
+    a, cmd = actuator_command(nn.forward(actor, observation(y, target, platform)),
+                              platform, params)
+    return cmd, a
 
 
-def _run_to_goal(command_fn, state: RigidState, target, params: SimParams,
+def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
                  max_steps: int = MAX_EVAL_STEPS, tolerance: float = SUCCESS_TOLERANCE_M,
                  record_trace: bool = False):
-    """Step the simulator until the target is reached or the budget runs out.
+    """Step the simulator from the flat state y until the target is reached
+    or the budget runs out.
 
-    command_fn(state, t) -> (ActuatorCommand, action_vector). Returns
-    (state, success, steps_to_reach, rows)."""
+    command_fn(y, t) -> (ActuatorCommand, action_vector). Returns
+    (flat state, success, steps_to_reach, rows)."""
     target = np.asarray(target, dtype=float)
     rows: list[str] = []
-    y = state.to_flat()
-    success = False
-    steps_to_reach = -1
-    if np.linalg.norm(state.position_m - target) <= tolerance:
-        return state, True, 0, rows
+    if np.linalg.norm(y[0:3] - target) <= tolerance:
+        return y, True, 0, rows
     for t in range(max_steps):
-        st = RigidState.from_flat(y)
-        cmd, action = command_fn(st, t)
+        cmd, action = command_fn(y, t)
         try:
             y = step_flat(y, cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, params)
         except NonFiniteError:
-            return st, False, -1, rows
+            return y, False, -1, rows
         if record_trace:
-            rows.append(trace_row(t + 1, RigidState.from_flat(y), action, 0.0))
+            rows.append(trace_row(t + 1, y, action, 0.0))
         if np.linalg.norm(y[0:3] - target) <= tolerance:
-            success = True
-            steps_to_reach = t + 1
-            break
-    return RigidState.from_flat(y), success, steps_to_reach, rows
+            return y, True, t + 1, rows
+    return y, False, -1, rows
+
+
+def _trial_result(trial: int, seed: int, success: bool, steps: int, y: np.ndarray,
+                  target, servo_ids: tuple[int, ...] = ()) -> TrialResult:
+    return TrialResult(
+        trial=trial, seed=seed, success=success, steps_to_reach=steps,
+        final_error_m=float(np.linalg.norm(y[0:3] - np.asarray(target))),
+        final_euler_rad=euler_zyx(y[6:10]),
+        final_tilt_rad=tuple(y[13:17]), servo_ids=servo_ids)
 
 
 def run_hover_eval(actor: nn.Mlp, platform: Platform, params: SimParams,
                    n_trials: int, seed: int, target=HOVER_TARGET,
-                   record_traces: bool = False) -> list[TrialResult]:
+                   trace_dir: str | None = None) -> list[TrialResult]:
     """Hover recovery from random initial states around the target.
 
     Initialization follows the training distribution with the shrunk Euler
     range (no SO(3) warmup at evaluation). Success: within 0.2 m of the
-    target at any step within the budget."""
+    target at any step within the budget. With trace_dir, each trial's
+    trace is written to trace_dir/hover_trace_NNN.csv as the trial ends."""
     cfg = EpisodeConfig(target_position_m=tuple(target))
     results = []
     for trial in range(n_trials):
         trial_seed = np.random.SeedSequence([seed, trial])
         rng = np.random.default_rng(trial_seed)
-        state = reset_state(rng, cfg, cfg.so3_warmup_episodes, params)
+        y = reset_state(rng, cfg, cfg.so3_warmup_episodes, params).to_flat()
 
-        def cmd_fn(st, t):
-            return policy_command(actor, st, target, platform, params)
+        def cmd_fn(y, t):
+            return policy_command(actor, y, target, platform, params)
 
         final, success, steps, rows = _run_to_goal(
-            cmd_fn, state, target, params, record_trace=record_traces)
-        results.append(TrialResult(
-            trial=trial, seed=seed, success=success, steps_to_reach=steps,
-            final_error_m=float(np.linalg.norm(final.position_m - np.asarray(target))),
-            final_euler_rad=euler_zyx(final.orientation),
-            final_tilt_rad=tuple(final.tilt_angles_rad),
-            trace=rows if record_traces else None))
+            cmd_fn, y, target, params, record_trace=trace_dir is not None)
+        if trace_dir is not None:
+            write_trace(os.path.join(trace_dir, f"hover_trace_{trial:03d}.csv"), rows)
+        results.append(_trial_result(trial, seed, success, steps, final, target))
     return results
 
 
@@ -169,24 +151,20 @@ def run_fault_ablation(actor: nn.Mlp, n_faulty: int, trials: int,
         trial_seed = np.random.SeedSequence([seed, trial])
         init_rng = np.random.default_rng(trial_seed)
         faulty = tuple(init_rng.choice(4, size=n_faulty, replace=False))
-        state = reset_state(init_rng, cfg, cfg.so3_warmup_episodes, params)
+        y = reset_state(init_rng, cfg, cfg.so3_warmup_episodes, params).to_flat()
         frng = fault_draws(trial_seed)
 
-        def cmd_fn(st, t):
-            cmd, a = policy_command(actor, st, target, Platform.TILT_ROTOR, params)
+        def cmd_fn(y, t):
+            cmd, a = policy_command(actor, y, target, Platform.TILT_ROTOR, params)
             for s in faulty:
                 if frng.random() >= response_probability:
                     cmd.tilt_rate_cmd_radps[s] = 0.0
             return cmd, a
 
-        final, success, steps, _ = _run_to_goal(cmd_fn, state, target, params)
+        final, success, steps, _ = _run_to_goal(cmd_fn, y, target, params)
         successes += int(success)
-        results.append(TrialResult(
-            trial=trial, seed=seed, success=success, steps_to_reach=steps,
-            final_error_m=float(np.linalg.norm(final.position_m - np.asarray(target))),
-            final_euler_rad=euler_zyx(final.orientation),
-            final_tilt_rad=tuple(final.tilt_angles_rad),
-            servo_ids=tuple(int(s) for s in faulty)))
+        results.append(_trial_result(trial, seed, success, steps, final, target,
+                                     tuple(int(s) for s in faulty)))
     return successes, results
 
 
@@ -283,28 +261,25 @@ def run_waypoint_mission(controller, mission: MissionSpec, params: SimParams,
     controller is either "pid" or a trained actor Mlp. Returns per-waypoint
     hit flags and the full trace."""
     if start is None:
-        state = RigidState.hover(params, (0.0, 0.0, mission.waypoints[0][2]))
-    else:
-        state = start
+        start = RigidState.hover(params, (0.0, 0.0, mission.waypoints[0][2]))
+    y = start.to_flat()
     gains = gains if gains is not None else PidGains()
     rows: list[str] = []
     hits: list[bool] = []
-    t_global = 0
     for wp in mission.waypoints:
         wp_arr = np.asarray(wp, dtype=float)
 
         if controller == "pid":
-            def cmd_fn(st, t, _wp=wp_arr):
-                return pid_controller(st, _wp, gains, params), np.zeros(4)
+            def cmd_fn(y, t, _wp=wp_arr):
+                return pid_controller(RigidState.from_flat(y), _wp, gains, params), np.zeros(4)
         else:
-            def cmd_fn(st, t, _wp=wp_arr):
-                return policy_command(controller, st, _wp, platform, params)
+            def cmd_fn(y, t, _wp=wp_arr):
+                return policy_command(controller, y, _wp, platform, params)
 
-        state, reached, steps, trace = _run_to_goal(
-            cmd_fn, state, wp_arr, params, max_steps=mission.steps_per_waypoint,
+        y, reached, steps, trace = _run_to_goal(
+            cmd_fn, y, wp_arr, params, max_steps=mission.steps_per_waypoint,
             tolerance=mission.reach_tolerance_m, record_trace=True)
         rows.extend(trace)
-        t_global += len(trace)
         hits.append(reached)
         if not reached:
             break

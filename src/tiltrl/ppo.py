@@ -9,7 +9,7 @@ env-major: all steps of env 0, then env 1, and so on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neuralnet as nn
+from .env import Platform
 from .neuralnet import Mlp, ShapeMismatchError
 
-QUAD_OBS = 18
-TILT_OBS = 22
-QUAD_ACT = 4
-TILT_ACT = 8
+QUAD_OBS = Platform.QUAD.obs_dim
+TILT_OBS = Platform.TILT_ROTOR.obs_dim
+QUAD_ACT = Platform.QUAD.act_dim
+TILT_ACT = Platform.TILT_ROTOR.act_dim
 
 
 @dataclass
@@ -130,31 +131,3 @@ def build_tilt_critic(quad_critic: Mlp, rng: np.random.Generator) -> tuple[Mlp, 
     assert report.total() == net.n_params()
     return net, report
 
-
-def developmental_train(make_quad_envs, make_tilt_envs, quad_cfg, tilt_cfg,
-                        rng: np.random.Generator, log_dir=None):
-    """Two-stage training: quadcopter from scratch, then transfer and train
-    the tilt-rotor. make_*_envs(seed_rng) build fresh env pools.
-
-    Returns (quad_nets, tilt_nets, quad_log, tilt_log, reports) where each
-    nets entry is (policy, critic).
-    """
-    from . import ppo
-    import os
-
-    quad_envs = make_quad_envs()
-    policy = nn.make_mlp([QUAD_OBS, *quad_cfg.hidden_sizes, QUAD_ACT], rng, output_tanh=True)
-    critic = nn.make_mlp([QUAD_OBS, *quad_cfg.hidden_sizes, 1], rng, output_tanh=False)
-    quad_log = ppo.train(
-        quad_envs, policy, critic, quad_cfg, rng,
-        log_path=os.path.join(log_dir, "stage1_quad.csv") if log_dir else None)
-
-    tilt_actor, actor_report = build_tilt_actor(policy, rng)
-    tilt_critic, critic_report = build_tilt_critic(critic, rng)
-    tilt_envs = make_tilt_envs()
-    tilt_log = ppo.train(
-        tilt_envs, tilt_actor, tilt_critic, tilt_cfg, rng,
-        log_path=os.path.join(log_dir, "stage2_tilt.csv") if log_dir else None)
-
-    return ((policy, critic), (tilt_actor, tilt_critic), quad_log, tilt_log,
-            (actor_report, critic_report))

@@ -20,7 +20,7 @@ import tiltrl.neuralnet as nn
 from tiltrl import ppo, transfer
 from tiltrl.cli import main
 from tiltrl.dynamics import (ActuatorCommand, RigidState, SimParams,
-                             body_wrench, step)
+                             derivative, quat_to_rot, step)
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
                         RewardWeights, TermStatus)
 from tiltrl.evalsuite import (PidGains, default_square_mission,
@@ -170,8 +170,11 @@ class TestDynamicsProperties:
         cons_ok = (np.abs(s.velocity_mps - v0).max() < 1e-6
                    and abs(ke - ke0) / ke0 < 1e-6)
 
-        # Quadcopter-reduction oracle at zero tilt.
+        # Quadcopter-reduction oracle at zero tilt. The body wrench is read
+        # off the derivative at zero body rates: force = m R^T (a + g e_z),
+        # torque = I omega_dot.
         l, k = PARAMS.arm_length_m, PARAMS.moment_ratio_m
+        inertia_diag = np.array(PARAMS.inertia_diag)
         worst = 0.0
         for _ in range(1000):
             st = RigidState.hover(PARAMS)
@@ -182,7 +185,10 @@ class TestDynamicsProperties:
             force_o = np.array([0.0, 0.0, f1 + f2 + f3 + f4])
             torque_o = np.array([l * (f2 - f4), l * (f3 - f1),
                                  k * (-f1 + f2 + f3 - f4)])
-            force, torque = body_wrench(st, PARAMS)
+            d = np.array(derivative(st.to_flat(), st.thrusts_n, np.zeros(4), PARAMS))
+            r = quat_to_rot(st.orientation)
+            force = PARAMS.mass_kg * r.T @ (d[3:6] + [0.0, 0.0, PARAMS.gravity_mps2])
+            torque = inertia_diag * d[10:13]
             worst = max(worst, np.abs(force - force_o).max(),
                         np.abs(torque - torque_o).max())
         reduction_ok = worst < 1e-12

@@ -70,13 +70,20 @@ class TestTrainQuad:
                                b / "checkpoint_final.bin", shallow=False)
 
     def test_checkpoint_shapes(self, tmp_path):
-        out = train_quad(tmp_path)
+        out = tmp_path / "quad"
+        rc = run(tmp_path, "train-quad", "--seed", "3", "--steps", "256",
+                 "--out", str(out), env={"TILTRL_CHECKPOINT_EVERY": "1"})
+        assert rc == 0
         nets, seed, steps = nn.load_checkpoint(out / "checkpoint_final.bin")
         actor, _ = nets["actor"]
         critic, _ = nets["critic"]
         assert actor.layer_sizes == [18, 16, 16, 4]
         assert critic.layer_sizes == [18, 16, 16, 1]
         assert steps == 256
+        # rollout_horizon (64) already counts the steps of all envs.
+        for k in range(1, 5):
+            _, _, steps = nn.load_checkpoint(out / f"checkpoint_{k:05d}.bin")
+            assert steps == k * 64
 
 
 class TestTrainTilt:

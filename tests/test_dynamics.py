@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiltrl.dynamics import (ActuatorCommand, NonFiniteError, RigidState,
-                             SimParams, body_wrench, derivative, euler_zyx,
+                             SimParams, derivative, euler_zyx,
                              quat_from_euler_zyx, quat_to_rot, step)
 
 PARAMS = SimParams()
@@ -41,6 +41,26 @@ class TestSimParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimParams(**kwargs)
+
+
+def body_wrench(state, params):
+    """Body-frame force (gravity excluded) and torque read off the derivative
+    at zero body rates, where the gyroscopic term vanishes:
+    force = m R^T (a + g e_z), torque = I omega_dot."""
+    y = state.to_flat()
+    y[10:13] = 0.0
+    d = np.array(derivative(y, state.thrusts_n, np.zeros(4), params))
+    r = quat_to_rot(state.orientation)
+    force = params.mass_kg * r.T @ (d[3:6] + [0.0, 0.0, params.gravity_mps2])
+    torque = np.array(params.inertia_diag) * d[10:13]
+    return force, torque
+
+
+def state_derivative(state, cmd, params):
+    """derivative() of a RigidState, split back into its fields."""
+    d = np.array(derivative(state.to_flat(), cmd.thrust_cmd_n,
+                            cmd.tilt_rate_cmd_radps, params))
+    return RigidState.from_flat(d)
 
 
 class TestBodyWrench:
@@ -92,7 +112,7 @@ class TestBodyWrench:
 class TestDerivative:
     def test_hover_equilibrium(self):
         s = RigidState.hover(PARAMS)
-        d = derivative(s, ActuatorCommand.hover(PARAMS), PARAMS)
+        d = state_derivative(s, ActuatorCommand.hover(PARAMS), PARAMS)
         for arr in (d.position_m, d.velocity_mps, d.orientation,
                     d.body_rates_radps, d.tilt_angles_rad, d.thrusts_n):
             np.testing.assert_allclose(arr, 0.0, atol=1e-13)
@@ -102,23 +122,23 @@ class TestDerivative:
         s = RigidState.hover(p)
         s.thrusts_n[:] = 0.0
         s.body_rates_radps[:] = [1.0, 0.0, 0.0]
-        d = derivative(s, ActuatorCommand(np.zeros(4), np.zeros(4)), p)
+        d = state_derivative(s, ActuatorCommand(np.zeros(4), np.zeros(4)), p)
         np.testing.assert_allclose(d.body_rates_radps, 0.0, atol=1e-15)
 
     def test_motor_lag(self):
         s = RigidState.hover(PARAMS)
         s.thrusts_n[:] = 0.0
         cmd = ActuatorCommand(np.full(4, 15.0), np.zeros(4))
-        d = derivative(s, cmd, PARAMS)
+        d = state_derivative(s, cmd, PARAMS)
         np.testing.assert_allclose(d.thrusts_n, 300.0, atol=1e-9)
 
     def test_tilt_rate_passthrough_and_limit(self):
         s = RigidState.hover(PARAMS)
         cmd = ActuatorCommand(np.full(4, F_H), np.array([0.5, -1.0, 0.0, 2.0]))
-        d = derivative(s, cmd, PARAMS)
+        d = state_derivative(s, cmd, PARAMS)
         np.testing.assert_allclose(d.tilt_angles_rad, cmd.tilt_rate_cmd_radps)
         s.tilt_angles_rad[0] = PARAMS.tilt_angle_range_rad[1]
-        d = derivative(s, cmd, PARAMS)
+        d = state_derivative(s, cmd, PARAMS)
         assert d.tilt_angles_rad[0] == 0.0   # outward command at the limit
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltrl.dynamics import RigidState, SimParams, euler_zyx, quat_from_euler_zyx
+from tiltrl.dynamics import (RigidState, SimParams, euler_zyx,
+                             quat_from_euler_zyx, quat_to_rot)
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
-                        RewardWeights, TermStatus, observe, random_unit_quat,
-                        reset_state, reward, scale_thrust, scale_tilt_rate,
-                        terminated)
+                        RewardWeights, TermStatus, actuator_command,
+                        observation, random_unit_quat, reset_state, reward,
+                        termination)
 
 PARAMS = SimParams()
 WEIGHTS = RewardWeights()
@@ -20,26 +21,30 @@ def make_env(platform=Platform.QUAD, seed=0, cfg=CFG):
     return HoverEnv(platform, PARAMS, cfg, WEIGHTS, np.random.default_rng(seed))
 
 
+def observe(state, target, platform):
+    return observation(state.to_flat(), target, platform)
+
+
 class TestObserve:
     def test_at_target_level_rest(self):
         s = RigidState.hover(PARAMS, position=CFG.target_position_m)
         obs = observe(s, CFG.target_position_m, Platform.TILT_ROTOR)
-        np.testing.assert_allclose(obs.e_p, 0.0)
-        np.testing.assert_allclose(obs.e_v, 0.0)
-        np.testing.assert_allclose(obs.e_omega, 0.0)
-        np.testing.assert_allclose(obs.e_tilt, 0.0)
-        np.testing.assert_allclose(obs.r_flat, np.eye(3).reshape(9))
+        np.testing.assert_allclose(obs[0:3], 0.0)      # position error
+        np.testing.assert_allclose(obs[3:6], 0.0)      # velocity error
+        np.testing.assert_allclose(obs[15:18], 0.0)    # body-rate error
+        np.testing.assert_allclose(obs[18:22], 0.0)    # tilt error
+        np.testing.assert_allclose(obs[6:15], np.eye(3).reshape(9))
 
     def test_position_error_convention(self):
         s = RigidState.hover(PARAMS, position=(1.0, 2.0, 3.0))
         obs = observe(s, (0.0, 0.0, 5.0), Platform.QUAD)
-        np.testing.assert_allclose(obs.e_p, [1.0, 2.0, -2.0])
+        np.testing.assert_allclose(obs[0:3], [1.0, 2.0, -2.0])
 
     def test_dimensions(self):
         s = RigidState.hover(PARAMS)
-        assert observe(s, CFG.target_position_m, Platform.QUAD).vector.shape == (18,)
-        assert observe(s, CFG.target_position_m, Platform.TILT_ROTOR).vector.shape == (22,)
-        assert observe(s, CFG.target_position_m, Platform.QUAD).e_tilt is None
+        # The quadcopter observation has no tilt-error block.
+        assert observe(s, CFG.target_position_m, Platform.QUAD).shape == (18,)
+        assert observe(s, CFG.target_position_m, Platform.TILT_ROTOR).shape == (22,)
 
     def test_dimension_constant_over_episode(self):
         for platform in Platform:
@@ -50,6 +55,18 @@ class TestObserve:
                 obs, _, status = env.step(np.zeros(platform.act_dim))
                 if status is not TermStatus.RUNNING:
                     obs = env.reset()
+
+
+def scale_thrust(a, params):
+    """Thrust command of rotor 1 for the action value a on every actuator."""
+    _, cmd = actuator_command(np.full(8, a), Platform.TILT_ROTOR, params)
+    return cmd.thrust_cmd_n[0]
+
+
+def scale_tilt_rate(a, params):
+    """Tilt-rate command of servo 1 for the action value a on every actuator."""
+    _, cmd = actuator_command(np.full(8, a), Platform.TILT_ROTOR, params)
+    return cmd.tilt_rate_cmd_radps[0]
 
 
 class TestActionScaling:
@@ -73,6 +90,16 @@ class TestActionScaling:
         assert scale_thrust(lo, PARAMS) <= scale_thrust(hi, PARAMS)
         assert scale_tilt_rate(lo, PARAMS) <= scale_tilt_rate(hi, PARAMS)
 
+    def test_action_clamped_before_scaling(self):
+        a, cmd = actuator_command(np.full(8, 2.0), Platform.TILT_ROTOR, PARAMS)
+        np.testing.assert_array_equal(a, 1.0)
+        assert cmd.thrust_cmd_n[0] == scale_thrust(1.0, PARAMS)
+        assert cmd.tilt_rate_cmd_radps[0] == scale_tilt_rate(1.0, PARAMS)
+
+    def test_quad_has_zero_tilt_rates(self):
+        _, cmd = actuator_command(np.ones(4), Platform.QUAD, PARAMS)
+        np.testing.assert_array_equal(cmd.tilt_rate_cmd_radps, 0.0)
+
 
 class TestReward:
     def zero_obs(self, platform):
@@ -81,36 +108,37 @@ class TestReward:
 
     def test_at_goal_zero_action(self):
         obs = self.zero_obs(Platform.QUAD)
-        assert reward(obs, np.zeros(4), WEIGHTS, (0, 0, 0), Platform.QUAD) == 5.0
+        assert reward(obs, np.zeros(4), WEIGHTS) == 5.0
 
     def test_position_penalty(self):
         obs = self.zero_obs(Platform.QUAD)
-        obs.e_p[:] = [1.0, 0.0, 0.0]
-        assert reward(obs, np.zeros(4), WEIGHTS, (0, 0, 0), Platform.QUAD) == pytest.approx(4.0)
+        obs[0:3] = [1.0, 0.0, 0.0]
+        assert reward(obs, np.zeros(4), WEIGHTS) == pytest.approx(4.0)
 
     def test_tilt_penalty(self):
         obs = self.zero_obs(Platform.TILT_ROTOR)
-        obs.e_p[:] = [1.0, 0.0, 0.0]
-        obs.e_tilt[:] = [0.4, 0.0, 0.0, 0.0]
-        r = reward(obs, np.zeros(8), WEIGHTS, (0, 0, 0), Platform.TILT_ROTOR)
+        obs[0:3] = [1.0, 0.0, 0.0]
+        obs[18:22] = [0.4, 0.0, 0.0, 0.0]
+        r = reward(obs, np.zeros(8), WEIGHTS)
         assert r == pytest.approx(3.8)
 
     def test_action_penalty(self):
         obs = self.zero_obs(Platform.QUAD)
         a = np.array([2.0, 0.0, 0.0, 0.0])  # ||a|| = 2
-        assert reward(obs, a, WEIGHTS, (0, 0, 0), Platform.QUAD) == pytest.approx(4.5)
+        assert reward(obs, a, WEIGHTS) == pytest.approx(4.5)
 
     def test_upper_bound_beta(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             obs = self.zero_obs(Platform.TILT_ROTOR)
-            obs.e_p[:] = rng.uniform(-2, 2, 3)
-            obs.e_v[:] = rng.uniform(-2, 2, 3)
-            obs.e_omega[:] = rng.uniform(-2, 2, 3)
-            obs.e_tilt[:] = rng.uniform(-1, 1, 4)
+            obs[0:3] = rng.uniform(-2, 2, 3)
+            obs[3:6] = rng.uniform(-2, 2, 3)
+            obs[15:18] = rng.uniform(-2, 2, 3)
+            obs[18:22] = rng.uniform(-1, 1, 4)
             a = rng.uniform(-1, 1, 8)
             euler = rng.uniform(-1, 1, 3)
-            assert reward(obs, a, WEIGHTS, euler, Platform.TILT_ROTOR) <= WEIGHTS.beta
+            obs[6:15] = quat_to_rot(quat_from_euler_zyx(*euler)).reshape(9)
+            assert reward(obs, a, WEIGHTS) <= WEIGHTS.beta
 
     def test_yaw_invariance(self):
         rng = np.random.default_rng(4)
@@ -118,12 +146,12 @@ class TestReward:
         s.orientation = quat_from_euler_zyx(0.2, -0.3, 0.7)
         s.velocity_mps[:] = rng.uniform(-1, 1, 3)
         obs = observe(s, CFG.target_position_m, Platform.QUAD)
-        r0 = reward(obs, np.zeros(4), WEIGHTS, euler_zyx(s.orientation), Platform.QUAD)
+        r0 = reward(obs, np.zeros(4), WEIGHTS)
         for dyaw in (0.5, 1.5, 3.0):
             s2 = RigidState.from_flat(s.to_flat())
             s2.orientation = quat_from_euler_zyx(0.2, -0.3, 0.7 + dyaw)
             obs2 = observe(s2, CFG.target_position_m, Platform.QUAD)
-            r1 = reward(obs2, np.zeros(4), WEIGHTS, euler_zyx(s2.orientation), Platform.QUAD)
+            r1 = reward(obs2, np.zeros(4), WEIGHTS)
             assert r1 == pytest.approx(r0, abs=1e-12)
 
 
@@ -173,6 +201,10 @@ class TestReset:
         assert abs(angles.mean() - oracle) < 0.02
 
 
+def terminated(state, t, cfg):
+    return termination(state.to_flat(), t, cfg)
+
+
 class TestTerminated:
     def test_max_steps(self):
         s = RigidState.hover(PARAMS, position=CFG.target_position_m)
@@ -219,7 +251,7 @@ class TestHoverEnv:
         for t in range(5):
             a = np.zeros(8)
             _, r, _ = env.step(a)
-            rows.append(trace_row(t, env.state, a, r))
+            rows.append(trace_row(t, env.state.to_flat(), a, r))
         path = tmp_path / "trace.csv"
         write_trace(path, rows)
         lines = path.read_text().strip().split("\n")

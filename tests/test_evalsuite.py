@@ -16,6 +16,12 @@ def zero_actor(platform=Platform.TILT_ROTOR):
     return net
 
 
+def pid_command(target, p):
+    """_run_to_goal command function: the PID baseline, zero action vector."""
+    return lambda y, t: (ev.pid_controller(RigidState.from_flat(y), target,
+                                           ev.PidGains(), p), np.zeros(4))
+
+
 class TestPidController:
     def test_hover_equilibrium(self):
         p = SimParams()
@@ -54,9 +60,8 @@ class TestPidController:
         p = SimParams()
         st = RigidState.hover(p, (0.0, 0.0, 3.0))
         final, ok, steps, _ = ev._run_to_goal(
-            lambda s, t: (ev.pid_controller(s, (1.0, 0.0, 3.0), ev.PidGains(), p),
-                          np.zeros(4)),
-            st, (1.0, 0.0, 3.0), p, max_steps=1500, tolerance=0.1)
+            pid_command((1.0, 0.0, 3.0), p), st.to_flat(), (1.0, 0.0, 3.0), p,
+            max_steps=1500, tolerance=0.1)
         assert ok and 0 < steps < 1500
 
     def test_attitude_recovery_from_roll(self):
@@ -64,9 +69,7 @@ class TestPidController:
         st = RigidState.hover(p, (0.0, 0.0, 3.0))
         st.orientation[:] = quat_from_euler_zyx(0.3, 0.0, 0.0)
         final, ok, steps, _ = ev._run_to_goal(
-            lambda s, t: (ev.pid_controller(s, (0.0, 0.0, 3.0), ev.PidGains(), p),
-                          np.zeros(4)),
-            st, (0.0, 0.0, 3.0), p)
+            pid_command((0.0, 0.0, 3.0), p), st.to_flat(), (0.0, 0.0, 3.0), p)
         assert ok
 
 
@@ -75,18 +78,15 @@ class TestRunToGoal:
         p = SimParams()
         st = RigidState.hover(p, (0.0, 0.0, 3.0))
         _, ok, steps, _ = ev._run_to_goal(
-            lambda s, t: (ev.pid_controller(s, (0.0, 0.0, 3.0), ev.PidGains(), p),
-                          np.zeros(4)),
-            st, (0.0, 0.0, 3.0), p)
+            pid_command((0.0, 0.0, 3.0), p), st.to_flat(), (0.0, 0.0, 3.0), p)
         assert ok and steps == 0
 
     def test_stops_at_reach(self):
         p = SimParams()
         st = RigidState.hover(p, (0.0, 0.0, 3.0))
         _, ok, steps, rows = ev._run_to_goal(
-            lambda s, t: (ev.pid_controller(s, (1.0, 0.0, 3.0), ev.PidGains(), p),
-                          np.zeros(4)),
-            st, (1.0, 0.0, 3.0), p, record_trace=True)
+            pid_command((1.0, 0.0, 3.0), p), st.to_flat(), (1.0, 0.0, 3.0), p,
+            record_trace=True)
         assert ok
         assert len(rows) == steps
 
@@ -94,9 +94,7 @@ class TestRunToGoal:
         p = SimParams()
         st = RigidState.hover(p, (0.0, 0.0, 3.0))
         _, ok, steps, _ = ev._run_to_goal(
-            lambda s, t: (ev.pid_controller(s, (100.0, 0.0, 3.0), ev.PidGains(), p),
-                          np.zeros(4)),
-            st, (100.0, 0.0, 3.0), p, max_steps=50)
+            pid_command((100.0, 0.0, 3.0), p), st.to_flat(), (100.0, 0.0, 3.0), p, max_steps=50)
         assert not ok and steps == -1
 
 
@@ -120,14 +118,16 @@ class TestHoverEval:
             assert len(r.final_euler_rad) == 3
             assert len(r.final_tilt_rad) == 4
 
-    def test_traces_recorded_on_request(self):
+    def test_traces_recorded_on_request(self, tmp_path):
         actor = zero_actor(Platform.QUAD)
         results = ev.run_hover_eval(actor, Platform.QUAD, SimParams(), 2,
-                                    seed=1, record_traces=True)
-        assert all(r.trace for r in results)
+                                    seed=1, trace_dir=str(tmp_path))
         n_cols = len(TRACE_HEADER.split(","))
-        assert all(len(row.split(",")) == n_cols
-                   for r in results for row in r.trace)
+        for r in results:
+            lines = (tmp_path / f"hover_trace_{r.trial:03d}.csv").read_text().splitlines()
+            assert lines[0] == TRACE_HEADER
+            assert len(lines) > 1
+            assert all(len(row.split(",")) == n_cols for row in lines)
 
 
 class TestFaultAblation:
