@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -53,6 +54,8 @@ def write_manifest(out_dir: str, stage: str, seed: int, cfg: RunConfig,
                    artifacts: dict) -> None:
     manifest = {
         "code_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
         "stage": stage,
         "seed": seed,
         "config": {k: (list(v) if isinstance(v, tuple) else v)

@@ -1,7 +1,11 @@
 """Minimal feed-forward network engine: tanh MLPs, reverse-mode gradients,
 Adam, per-parameter freezing, and a binary checkpoint format.
 
-Checkpoint byte layout (little-endian throughout):
+Each Mlp keeps its parameters in one float64 vector `params`, laid out W0,
+b0, W1, b1, ..., and its freeze flags in one bool vector `frozen`; the layer
+arrays are views into them. Gradients and Adam moments share that layout.
+
+Checkpoint byte layout (little-endian; the layer views are written in order):
 
     magic   4s   b"TLRC"
     version u32  currently 1
@@ -28,6 +32,7 @@ Round-trip save/load is bit-exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -35,6 +40,7 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"TLRC"
 CHECKPOINT_VERSION = 1
+_LAYER_DTYPES = ("<f8", "<f8", np.uint8, np.uint8)   # W, b, frozen_W, frozen_b
 
 
 class DimensionMismatchError(ValueError):
@@ -45,43 +51,72 @@ class ShapeMismatchError(ValueError):
     """Network shape does not match what an operation requires."""
 
 
-@dataclass
+def _flatten(ws, bs, dtype) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for layer in zip(ws, bs) for a in layer], dtype=dtype)
+
+
 class Mlp:
     """Layered tanh network. weights[i] has shape (out, in); tanh on hidden
-    layers, tanh or identity on the output per output_tanh."""
+    layers, tanh or identity on the output per output_tanh. The constructor
+    copies the layer arrays into `params` and `frozen`."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    frozen_w: list[np.ndarray]   # bool masks, same shapes as weights
-    frozen_b: list[np.ndarray]
-    output_tanh: bool = True
+    def __init__(self, weights, biases, frozen_w, frozen_b, output_tanh: bool = True):
+        self.shapes = [np.shape(w) for w in weights]
+        self.output_tanh = output_tanh
+        self.params = _flatten(weights, biases, float)
+        self.frozen = _flatten(frozen_w, frozen_b, bool)
+        self.weights, self.biases = self.views(self.params)
+        self.frozen_w, self.frozen_b = self.views(self.frozen)
+
+    @classmethod
+    def zeros(cls, shapes, output_tanh: bool = True) -> "Mlp":
+        """All-zero network with weight shapes [(out, in), ...], nothing frozen."""
+        ws = [np.zeros(shape) for shape in shapes]
+        bs = [np.zeros(rows) for rows, _ in shapes]
+        return cls(ws, bs, [w.astype(bool) for w in ws], [b.astype(bool) for b in bs],
+                   output_tanh)
+
+    def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a vector laid out like params."""
+        ws, bs, at = [], [], 0
+        for rows, cols in self.shapes:
+            end = at + rows * cols
+            ws.append(flat[at:end].reshape(rows, cols))
+            bs.append(flat[end:end + rows])
+            at = end + rows
+        return ws, bs
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.shapes[0][1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.shapes[-1][0]
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.in_dim] + [w.shape[0] for w in self.weights]
+        return [self.in_dim] + [rows for rows, _ in self.shapes]
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def n_frozen(self) -> int:
-        return int(sum(fw.sum() + fb.sum() for fw, fb in zip(self.frozen_w, self.frozen_b)))
+        return int(np.count_nonzero(self.frozen))
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                   [f.copy() for f in self.frozen_w], [f.copy() for f in self.frozen_b],
-                   self.output_tanh)
+        net = Mlp.zeros(self.shapes, self.output_tanh)
+        net.params[:] = self.params
+        net.frozen[:] = self.frozen
+        return net
 
 
 @dataclass
 class AdamState:
+    """Adam moments m, v laid out like the net's params; m_w, v_w, m_b, v_b are views."""
+
+    m: np.ndarray
+    v: np.ndarray
     m_w: list[np.ndarray]
     v_w: list[np.ndarray]
     m_b: list[np.ndarray]
@@ -94,11 +129,9 @@ class AdamState:
     @classmethod
     def for_net(cls, net: Mlp, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> "AdamState":
-        return cls([np.zeros_like(w) for w in net.weights],
-                   [np.zeros_like(w) for w in net.weights],
-                   [np.zeros_like(b) for b in net.biases],
-                   [np.zeros_like(b) for b in net.biases],
-                   0, beta1, beta2, eps)
+        m, v = np.zeros_like(net.params), np.zeros_like(net.params)
+        (m_w, m_b), (v_w, v_b) = net.views(m), net.views(v)
+        return cls(m, v, m_w, v_w, m_b, v_b, 0, beta1, beta2, eps)
 
 
 def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,22 +143,18 @@ def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def make_mlp(sizes: list[int], rng: np.random.Generator,
              output_tanh: bool = True) -> Mlp:
     """Fresh network with Xavier weights and zero biases, nothing frozen."""
-    weights, biases, fw, fb = [], [], [], []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(xavier_init(n_out, n_in, rng))
-        biases.append(np.zeros(n_out))
-        fw.append(np.zeros((n_out, n_in), dtype=bool))
-        fb.append(np.zeros(n_out, dtype=bool))
-    return Mlp(weights, biases, fw, fb, output_tanh)
+    net = Mlp.zeros(list(zip(sizes[1:], sizes[:-1])), output_tanh)
+    for w in net.weights:
+        w[:] = xavier_init(*w.shape, rng)
+    return net
 
 
-def _forward_cached(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
+def activations(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
     """Activations per layer; acts[0] is the input, acts[-1] the output."""
     acts = [x]
-    h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
+        h = acts[-1] @ w.T + b
         if i < last or net.output_tanh:
             h = np.tanh(h)
         acts.append(h)
@@ -138,16 +167,16 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != net.in_dim:
         raise DimensionMismatchError(
             f"input dim {x.shape[-1]} != network input {net.in_dim}")
-    return _forward_cached(net, x)[-1]
+    return activations(net, x)[-1]
 
 
-def gradients(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts=None):
-    """Gradients of sum(output * upstream) w.r.t. all parameters.
+def gradients(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts=None) -> np.ndarray:
+    """Gradient of sum(output * upstream) w.r.t. all parameters.
 
     x and upstream may be single vectors or batches (summed over the batch).
     Frozen parameters get exactly zero gradient. acts may carry activations
-    from a previous _forward_cached(net, x) to skip the forward pass.
-    Returns (grad_weights, grad_biases) lists shaped like the parameters.
+    from a previous activations(net, x) to skip the forward pass.
+    Returns one flat vector laid out like net.params (net.views splits it).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
@@ -159,45 +188,37 @@ def gradients(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts=None):
             f"upstream dim {upstream.shape[-1]} != network output {net.out_dim}")
 
     if acts is None:
-        acts = _forward_cached(net, x)
+        acts = activations(net, x)
     delta = upstream
     if net.output_tanh:
         delta = delta * (1.0 - acts[-1] ** 2)
 
-    n = len(net.weights)
-    gw: list[np.ndarray] = [None] * n
-    gb: list[np.ndarray] = [None] * n
-    for i in range(n - 1, -1, -1):
-        gw[i] = delta.T @ acts[i]
-        gb[i] = delta.sum(axis=0)
+    g = np.empty_like(net.params)
+    gw, gb = net.views(g)
+    for i in range(len(gw) - 1, -1, -1):
+        np.matmul(delta.T, acts[i], out=gw[i])
+        delta.sum(axis=0, out=gb[i])
         if i > 0:
             delta = (delta @ net.weights[i]) * (1.0 - acts[i] ** 2)
-    for i in range(n):
-        gw[i][net.frozen_w[i]] = 0.0
-        gb[i][net.frozen_b[i]] = 0.0
-    return gw, gb
+    g[net.frozen] = 0.0
+    return g
 
 
-def adam_step(net: Mlp, opt: AdamState, grads, lr: float) -> None:
-    """Bias-corrected Adam update in place; frozen parameters are untouched."""
-    gw, gb = grads
+def adam_step(net: Mlp, opt: AdamState, grad: np.ndarray, lr: float) -> None:
+    """Bias-corrected Adam update in place; frozen parameters are untouched.
+    grad is flat, laid out like net.params."""
     opt.step_count += 1
     t = opt.step_count
     b1, b2, eps = opt.beta1, opt.beta2, opt.eps
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for i in range(len(net.weights)):
-        for p, g, m, v, frozen in (
-            (net.weights[i], gw[i], opt.m_w[i], opt.v_w[i], net.frozen_w[i]),
-            (net.biases[i], gb[i], opt.m_b[i], opt.v_b[i], net.frozen_b[i]),
-        ):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            upd = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            upd[frozen] = 0.0
-            p -= upd
+    opt.m *= b1
+    opt.m += (1.0 - b1) * grad
+    opt.v *= b2
+    opt.v += (1.0 - b2) * grad * grad
+    upd = lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + eps)
+    upd[net.frozen] = 0.0
+    net.params -= upd
 
 
 def gaussian_log_prob(mean: np.ndarray, sigma: float, a: np.ndarray) -> float:
@@ -217,65 +238,64 @@ def _pack_net(fh, name: str, net: Mlp, opt: AdamState | None) -> None:
     nb = name.encode("ascii")
     fh.write(struct.pack("<B", len(nb)))
     fh.write(nb)
-    fh.write(struct.pack("<BB", int(net.output_tanh), len(net.weights)))
-    for w in net.weights:
-        fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-    for i in range(len(net.weights)):
-        fh.write(np.ascontiguousarray(net.weights[i], dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(net.biases[i], dtype="<f8").tobytes())
-        fh.write(net.frozen_w[i].astype(np.uint8).tobytes())
-        fh.write(net.frozen_b[i].astype(np.uint8).tobytes())
+    fh.write(struct.pack("<BB", int(net.output_tanh), len(net.shapes)))
+    for rows, cols in net.shapes:
+        fh.write(struct.pack("<II", rows, cols))
+    for layer in zip(net.weights, net.biases, net.frozen_w, net.frozen_b):
+        for arr, dtype in zip(layer, _LAYER_DTYPES):
+            fh.write(arr.astype(dtype, copy=False).tobytes())
     fh.write(struct.pack("<B", int(opt is not None)))
     if opt is not None:
         fh.write(struct.pack("<Qddd", opt.step_count, opt.beta1, opt.beta2, opt.eps))
-        for i in range(len(net.weights)):
-            for arr in (opt.m_w[i], opt.v_w[i], opt.m_b[i], opt.v_b[i]):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for layer in zip(opt.m_w, opt.v_w, opt.m_b, opt.v_b):
+            for arr in layer:
+                fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
 def _read(fh, fmt):
     return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
 
 
-def _read_array(fh, shape, dtype="<f8"):
-    n = int(np.prod(shape))
-    itemsize = np.dtype(dtype).itemsize
-    return np.frombuffer(fh.read(n * itemsize), dtype=dtype).reshape(shape).copy()
+def _read_into(fh, dst: np.ndarray, dtype="<f8") -> None:
+    dst[...] = np.frombuffer(fh.read(dst.size * np.dtype(dtype).itemsize),
+                             dtype=dtype).reshape(dst.shape)
 
 
 def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
     (name_len,) = _read(fh, "<B")
     name = fh.read(name_len).decode("ascii")
     output_tanh, n_layers = _read(fh, "<BB")
-    shapes = [_read(fh, "<II") for _ in range(n_layers)]
-    weights, biases, fw, fb = [], [], [], []
-    for rows, cols in shapes:
-        weights.append(_read_array(fh, (rows, cols)))
-        biases.append(_read_array(fh, (rows,)))
-        fw.append(_read_array(fh, (rows, cols), np.uint8).astype(bool))
-        fb.append(_read_array(fh, (rows,), np.uint8).astype(bool))
-    net = Mlp(weights, biases, fw, fb, bool(output_tanh))
+    net = Mlp.zeros([_read(fh, "<II") for _ in range(n_layers)], bool(output_tanh))
+    for layer in zip(net.weights, net.biases, net.frozen_w, net.frozen_b):
+        for arr, dtype in zip(layer, _LAYER_DTYPES):
+            _read_into(fh, arr, dtype)
     (has_opt,) = _read(fh, "<B")
     opt = None
     if has_opt:
         step_count, b1, b2, eps = _read(fh, "<Qddd")
-        opt = AdamState([], [], [], [], step_count, b1, b2, eps)
-        for rows, cols in shapes:
-            opt.m_w.append(_read_array(fh, (rows, cols)))
-            opt.v_w.append(_read_array(fh, (rows, cols)))
-            opt.m_b.append(_read_array(fh, (rows,)))
-            opt.v_b.append(_read_array(fh, (rows,)))
+        opt = AdamState.for_net(net, b1, b2, eps)
+        opt.step_count = step_count
+        for layer in zip(opt.m_w, opt.v_w, opt.m_b, opt.v_b):
+            for arr in layer:
+                _read_into(fh, arr)
     return name, net, opt
 
 
 def save_checkpoint(path, nets: dict[str, tuple[Mlp, AdamState | None]],
                     seed: int, train_step: int) -> None:
-    """Write networks (+ optional optimizer moments) to a versioned binary file."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQQB", CHECKPOINT_VERSION, seed, train_step, len(nets)))
-        for name, (net, opt) in nets.items():
-            _pack_net(fh, name, net, opt)
+    """Write networks (+ optional optimizer moments) to a versioned binary
+    file, atomically: the bytes go to `path`.tmp, which then replaces `path`."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQQB", CHECKPOINT_VERSION, seed, train_step, len(nets)))
+            for name, (net, opt) in nets.items():
+                _pack_net(fh, name, net, opt)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

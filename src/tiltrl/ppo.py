@@ -180,7 +180,7 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
             old_logp = buffer.log_probs[idx]
             nb = len(idx)
 
-            pol_acts = nn._forward_cached(policy, ob)
+            pol_acts = nn.activations(policy, ob)
             mean = pol_acts[-1]
             logp = nn.gaussian_log_prob(mean, cfg.sigma, ac)
             ratio = np.exp(logp - old_logp)
@@ -196,7 +196,7 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
             up_pol = coef[:, None] * (ac - mean) / sig2
             g_pol = nn.gradients(policy, ob, up_pol, acts=pol_acts)
 
-            cri_acts = nn._forward_cached(critic, ob)
+            cri_acts = nn.activations(critic, ob)
             v = cri_acts[-1][:, 0]
             err = v - ret
             val_loss = cfg.value_loss_coef * float(np.mean(err * err))

@@ -64,35 +64,28 @@ def build_tilt_actor(quad_actor: Mlp, rng: np.random.Generator) -> tuple[Mlp, Tr
             f"quad actor must be {QUAD_OBS}-h1-h2-{QUAD_ACT}, got {sizes}")
     h1, h2 = sizes[1], sizes[2]
     report = TransferReport()
+    net = Mlp.zeros([(h1, TILT_OBS), (h2, h1), (TILT_ACT, h2)], output_tanh=True)
 
-    w0 = np.empty((h1, TILT_OBS))
+    w0 = net.weights[0]
     w0[:, :QUAD_OBS] = quad_actor.weights[0]
     w0[:, QUAD_OBS:] = nn.xavier_init(h1, TILT_OBS - QUAD_OBS, rng)
-    f0 = np.zeros((h1, TILT_OBS), dtype=bool)
-    f0[:, :QUAD_OBS] = True
-    b0 = quad_actor.biases[0].copy()
+    net.frozen_w[0][:, :QUAD_OBS] = True
     report.add("input->A1 (shared cols)", "transferred_frozen", h1 * QUAD_OBS)
     report.add("input->A1 (tilt cols)", "fresh_xavier", h1 * (TILT_OBS - QUAD_OBS))
     report.add("A1 bias", "transferred_frozen", h1)
 
-    w1 = quad_actor.weights[1].copy()
-    b1 = quad_actor.biases[1].copy()
+    # b0, W1 and b1 follow W0 in both networks, so one slice each holds them.
+    n_shared = h1 + h2 * h1 + h2
+    shared = slice(h1 * TILT_OBS, h1 * TILT_OBS + n_shared)
+    net.params[shared] = quad_actor.params[h1 * QUAD_OBS:h1 * QUAD_OBS + n_shared]
+    net.frozen[shared] = True
     report.add("A1->A2", "transferred_frozen", h2 * h1)
     report.add("A2 bias", "transferred_frozen", h2)
 
-    w2 = nn.xavier_init(TILT_ACT, h2, rng)
-    b2 = np.zeros(TILT_ACT)
+    net.weights[2][:] = nn.xavier_init(TILT_ACT, h2, rng)
     report.add("A2->output", "fresh_xavier", TILT_ACT * h2)
     report.add("output bias", "fresh_xavier", TILT_ACT)
 
-    net = Mlp(
-        weights=[w0, w1, w2],
-        biases=[b0, b1, b2],
-        frozen_w=[f0, np.ones((h2, h1), dtype=bool), np.zeros((TILT_ACT, h2), dtype=bool)],
-        frozen_b=[np.ones(h1, dtype=bool), np.ones(h2, dtype=bool),
-                  np.zeros(TILT_ACT, dtype=bool)],
-        output_tanh=True,
-    )
     assert report.total() == net.n_params()
     return net, report
 
@@ -106,28 +99,14 @@ def build_tilt_critic(quad_critic: Mlp, rng: np.random.Generator) -> tuple[Mlp, 
             f"quad critic must be {QUAD_OBS}-h1-h2-1, got {sizes}")
     h1, h2 = sizes[1], sizes[2]
     report = TransferReport()
+    net = Mlp.zeros([(h1, TILT_OBS), (h2, h1), (1, h2)], output_tanh=False)
 
-    w0 = nn.xavier_init(h1, TILT_OBS, rng)
-    b0 = np.zeros(h1)
+    net.weights[0][:] = nn.xavier_init(h1, TILT_OBS, rng)
     report.add("input->C1", "fresh_xavier", h1 * TILT_OBS + h1)
 
-    w1 = quad_critic.weights[1].copy()
-    b1 = quad_critic.biases[1].copy()
+    net.params[h1 * TILT_OBS + h1:] = quad_critic.params[h1 * QUAD_OBS + h1:]  # after layer 0
     report.add("C1->C2", "transferred_trainable", h2 * h1 + h2)
-
-    w2 = quad_critic.weights[2].copy()
-    b2 = quad_critic.biases[2].copy()
     report.add("C2->output", "transferred_trainable", h2 + 1)
 
-    net = Mlp(
-        weights=[w0, w1, w2],
-        biases=[b0, b1, b2],
-        frozen_w=[np.zeros_like(w0, dtype=bool), np.zeros_like(w1, dtype=bool),
-                  np.zeros_like(w2, dtype=bool)],
-        frozen_b=[np.zeros_like(b0, dtype=bool), np.zeros_like(b1, dtype=bool),
-                  np.zeros_like(b2, dtype=bool)],
-        output_tanh=False,
-    )
     assert report.total() == net.n_params()
     return net, report
-

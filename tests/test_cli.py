@@ -1,6 +1,8 @@
 import filecmp
+import hashlib
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -56,6 +58,8 @@ class TestTrainQuad:
         assert m["seed"] == 11
         assert m["config"]["total_steps"] == 256
         assert m["config"]["n_envs"] == 2
+        assert m["python_version"] == platform.python_version()
+        assert m["numpy_version"] == np.__version__
 
     def test_same_seed_identical_checkpoints(self, tmp_path):
         a = train_quad(tmp_path, "a", seed="5")
@@ -84,6 +88,32 @@ class TestTrainQuad:
         for k in range(1, 5):
             _, _, steps = nn.load_checkpoint(out / f"checkpoint_{k:05d}.bin")
             assert steps == k * 64
+
+
+# sha256 of checkpoint_final.bin for a fixed seed, recorded under this numpy
+# version before the flat-parameter engine landed. A change that alters what
+# a fixed seed trains to shows up here.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_SHA256 = {
+    "quad": "402e1274281fb36fa7476cfab6e64a7415b018a047864b30b5731e9cce48930d",
+    "tilt": "298aa26b244c8d4cbb2b466984569d56d26f81a51a433b5f0349216e4a658f0a",
+}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"golden hashes were recorded under numpy {GOLDEN_NUMPY}")
+def test_same_seed_golden_checkpoints(tmp_path):
+    # The shipped network and env-pool sizes, two updates per stage.
+    env = {"TILTRL_N_ENVS": "8", "TILTRL_HIDDEN_SIZES": "64, 64",
+           "TILTRL_ROLLOUT_HORIZON": "128", "TILTRL_CHECKPOINT_EVERY": "1"}
+    quad, tilt = tmp_path / "quad", tmp_path / "tilt"
+    assert run(tmp_path, "train-quad", "--seed", "3", "--steps", "256",
+               "--out", str(quad), env=env) == 0
+    assert run(tmp_path, "train-tilt", "--from", str(quad / "checkpoint_final.bin"),
+               "--seed", "3", "--steps", "256", "--out", str(tilt), env=env) == 0
+    for stage, out in (("quad", quad), ("tilt", tilt)):
+        digest = hashlib.sha256((out / "checkpoint_final.bin").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[stage], stage
 
 
 class TestTrainTilt:

@@ -78,7 +78,7 @@ class TestGradients:
                   [np.zeros((1, 2), dtype=bool)], [np.zeros(1, dtype=bool)],
                   output_tanh=False)
         x = np.array([0.7, -0.3])
-        gw, gb = gradients(net, x, np.ones(1))
+        gw, gb = net.views(gradients(net, x, np.ones(1)))
         np.testing.assert_allclose(gw[0], x[None, :])
         np.testing.assert_allclose(gb[0], 1.0)
 
@@ -91,7 +91,7 @@ class TestGradients:
             net = make_mlp(list(map(int, sizes)), rng, output_tanh=output_tanh)
             x = rng.standard_normal(net.in_dim)
             up = rng.standard_normal(net.out_dim)
-            gw, gb = gradients(net, x, up)
+            gw, gb = net.views(gradients(net, x, up))
             fw, fb = finite_difference_grads(net, x, up)
             for a, b in zip(gw + gb, fw + fb):
                 denom = max(np.abs(b).max(), 1e-8)
@@ -103,7 +103,7 @@ class TestGradients:
         net = make_mlp([4, 6, 2], rng)
         for f in net.frozen_w + net.frozen_b:
             f[:] = True
-        gw, gb = gradients(net, rng.standard_normal(4), np.ones(2))
+        gw, gb = net.views(gradients(net, rng.standard_normal(4), np.ones(2)))
         for g in gw + gb:
             assert np.all(g == 0.0)
 
@@ -112,11 +112,11 @@ class TestGradients:
         net = make_mlp([3, 5, 2], rng)
         xs = rng.standard_normal((4, 3))
         ups = rng.standard_normal((4, 2))
-        gw, gb = gradients(net, xs, ups)
+        gw, gb = net.views(gradients(net, xs, ups))
         sw = [np.zeros_like(w) for w in net.weights]
         sb = [np.zeros_like(b) for b in net.biases]
         for i in range(4):
-            gwi, gbi = gradients(net, xs[i], ups[i])
+            gwi, gbi = net.views(gradients(net, xs[i], ups[i]))
             for a, b in zip(sw + sb, gwi + gbi):
                 a += b
         for a, b in zip(gw + gb, sw + sb):
@@ -124,6 +124,7 @@ class TestGradients:
 
 
 class TestAdam:
+    # The flat gradients below are laid out (dW[0, 0], db[0]).
     def make_scalar_net(self):
         return Mlp([np.array([[1.0]])], [np.zeros(1)],
                    [np.zeros((1, 1), dtype=bool)], [np.zeros(1, dtype=bool)],
@@ -132,7 +133,7 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         net = self.make_scalar_net()
         opt = AdamState.for_net(net)
-        adam_step(net, opt, ([np.zeros((1, 1))], [np.zeros(1)]), lr=0.1)
+        adam_step(net, opt, np.array([0.0, 0.0]), lr=0.1)
         assert net.weights[0][0, 0] == 1.0
 
     def test_first_step_magnitude(self):
@@ -140,7 +141,7 @@ class TestAdam:
         net = self.make_scalar_net()
         opt = AdamState.for_net(net)
         lr = 0.01
-        adam_step(net, opt, ([np.ones((1, 1))], [np.zeros(1)]), lr=lr)
+        adam_step(net, opt, np.array([1.0, 0.0]), lr=lr)
         expected = 1.0 - lr * 1.0 / (1.0 + opt.eps)
         assert net.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
 
@@ -157,7 +158,7 @@ class TestAdam:
             mh = m / (1 - opt.beta1 ** t)
             vh = v / (1 - opt.beta2 ** t)
             p -= lr * mh / (math.sqrt(vh) + opt.eps)
-            adam_step(net, opt, ([np.ones((1, 1))], [np.zeros(1)]), lr=lr)
+            adam_step(net, opt, np.array([1.0, 0.0]), lr=lr)
             assert net.weights[0][0, 0] == pytest.approx(p, abs=1e-15)
 
     def test_frozen_parameter_bit_identical(self):
@@ -166,8 +167,59 @@ class TestAdam:
         before = net.weights[0].tobytes()
         opt = AdamState.for_net(net)
         for _ in range(5):
-            adam_step(net, opt, ([np.ones((1, 1))], [np.zeros(1)]), lr=0.1)
+            adam_step(net, opt, np.array([1.0, 0.0]), lr=0.1)
         assert net.weights[0].tobytes() == before
+
+
+class TestFlatEngine:
+    def test_adam_matches_elementwise_oracle_bit_exactly(self):
+        # Adam is elementwise: a plain-Python recursion per parameter, in the
+        # same operation order, must give the same bits as the vector step.
+        rng = np.random.default_rng(8)
+        net = make_mlp([4, 6, 3], rng)
+        net.frozen_w[0][:3] = True       # half of layer 0 frozen
+        net.frozen_b[0][:3] = True
+        opt = AdamState.for_net(net)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
+        p = [float(a) for w, b in zip(net.weights, net.biases)
+             for a in [*w.ravel(), *b]]
+        frozen = [bool(a) for w, b in zip(net.frozen_w, net.frozen_b)
+                  for a in [*w.ravel(), *b]]
+        m = [0.0] * len(p)
+        v = [0.0] * len(p)
+        for t in range(1, 11):
+            g = rng.standard_normal(len(p))
+            adam_step(net, opt, g.copy(), lr)
+            c1 = 1.0 - b1 ** t
+            c2 = 1.0 - b2 ** t
+            for j, gj in enumerate(g.tolist()):
+                m[j] = m[j] * b1 + (1.0 - b1) * gj
+                v[j] = v[j] * b2 + (1.0 - b2) * gj * gj
+                upd = lr * (m[j] / c1) / (math.sqrt(v[j] / c2) + eps)
+                p[j] = p[j] - (0.0 if frozen[j] else upd)
+        assert net.params.tolist() == p
+        assert opt.m.tolist() == m and opt.v.tolist() == v
+
+    def test_layers_are_views_of_the_flat_vectors(self, tmp_path):
+        net = make_mlp([4, 6, 3], np.random.default_rng(9))
+        for i in range(2):
+            assert np.shares_memory(net.weights[i], net.params)
+            assert np.shares_memory(net.biases[i], net.params)
+            assert np.shares_memory(net.frozen_w[i], net.frozen)
+        twin = net.copy()
+        assert not np.shares_memory(twin.params, net.params)
+        assert not np.shares_memory(twin.frozen, net.frozen)
+        twin.weights[0][:] = 1.0
+        twin.frozen_b[1][:] = True
+        assert not np.any(net.weights[0] == 1.0) and net.n_frozen() == 0
+        assert twin.n_frozen() == 3 and twin.n_params() == net.n_params() == 51
+
+        save_checkpoint(tmp_path / "c.bin", {"a": (net, AdamState.for_net(net))}, 0, 0)
+        (net2, opt2), = load_checkpoint(tmp_path / "c.bin")[0].values()
+        assert np.shares_memory(net2.weights[1], net2.params)
+        assert np.shares_memory(net2.frozen_b[0], net2.frozen)
+        assert np.shares_memory(opt2.v_w[1], opt2.v)
+        assert net2.params.tobytes() == net.params.tobytes()
 
 
 class TestXavierInit:
@@ -275,6 +327,22 @@ class TestCheckpoint:
         save_checkpoint(path2, {"actor": (actor2, a_opt2),
                                 "critic": nets["critic"]}, seed, train_step)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_interrupted_write_keeps_old_file(self, tmp_path, monkeypatch):
+        net = make_mlp([3, 4, 2], np.random.default_rng(0))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"actor": (net, None)}, seed=1, train_step=2)
+        before = path.read_bytes()
+
+        def pack_then_fail(fh, *args):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nn, "_pack_net", pack_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"actor": (net, None)}, seed=1, train_step=3)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

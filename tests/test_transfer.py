@@ -75,8 +75,8 @@ class TestBuildTiltActor:
         rng = np.random.default_rng(2)
         for _ in range(20):
             obs22 = rng.standard_normal((1, 22))
-            a_quad = nn._forward_cached(padded, obs22)
-            a_tilt = nn._forward_cached(net, obs22)
+            a_quad = nn.activations(padded, obs22)
+            a_tilt = nn.activations(net, obs22)
             np.testing.assert_array_equal(a_quad[1], a_tilt[1])
             np.testing.assert_array_equal(a_quad[2], a_tilt[2])
 
