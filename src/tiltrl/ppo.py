@@ -2,8 +2,10 @@
 GAE advantages, clipped-surrogate updates, and value regression.
 
 The action distribution is N(actor(obs), sigma^2 I) with constant sigma, so
-entropy is constant and no entropy bonus is optimized. Rollouts are stored
-env-major: all steps of env 0, then env 1, and so on.
+entropy is constant and no entropy bonus is optimized. Rollouts are
+collected time-major, the env pool stepping in lockstep with one stacked
+actor and one stacked critic forward per time step, and stored env-major:
+all steps of env 0, then env 1, and so on.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ class TrainConfig:
 
 @dataclass
 class RolloutBuffer:
-    """Env-major on-policy storage; discarded after each update."""
+    """On-policy storage, collected time-major and stored env-major (each
+    env's steps form one contiguous segment); discarded after each update.
+    Finished episodes are listed env by env, in step order within an env."""
 
     obs: np.ndarray        # (T, obs_dim)
     actions: np.ndarray    # (T, act_dim) pre-clamp samples
@@ -67,6 +71,7 @@ class RolloutBuffer:
     returns: np.ndarray | None = None
     episode_returns: list = field(default_factory=list)
     episode_lengths: list = field(default_factory=list)
+    episode_ends: list = field(default_factory=list)   # TermStatus per episode
 
     def __len__(self):
         return len(self.rewards)
@@ -77,52 +82,66 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     """Run the env pool for rollout_horizon steps total, sampling actions
     from N(policy(obs), sigma^2 I). Terminated episodes reset in place; each
     env's truncated tail is bootstrapped with the critic value (zero if the
-    tail step ended an episode, including divergence)."""
+    tail step ended an episode, including divergence).
+
+    The pool steps in lockstep: at each time step one actor forward and one
+    critic forward run on the stacked observations, shaped (n_envs, 1,
+    obs_dim) so that each row is the same vector-matrix product a single
+    observation gets. The whole rollout's noise is drawn up front in
+    env-major order. Resets take episode indices from the pool's shared
+    counter in time order."""
     n_envs = len(envs)
     steps_per_env = cfg.rollout_horizon // n_envs
-    t_total = steps_per_env * n_envs
+    obs_dim, act_dim = envs[0].obs_dim, envs[0].act_dim
 
-    obs_buf = np.empty((t_total, envs[0].obs_dim))
-    act_buf = np.empty((t_total, envs[0].act_dim))
-    logp_buf = np.empty(t_total)
-    rew_buf = np.empty(t_total)
-    val_buf = np.empty(t_total)
-    done_buf = np.zeros(t_total)
-    bootstrap = np.zeros(n_envs)
-    ep_returns: list[float] = []
-    ep_lengths: list[int] = []
+    obs_buf = np.empty((n_envs, steps_per_env, obs_dim))
+    mean_buf = np.empty((n_envs, steps_per_env, act_dim))
+    rew_buf = np.empty((n_envs, steps_per_env))
+    val_buf = np.empty((n_envs, steps_per_env))
+    done_buf = np.zeros((n_envs, steps_per_env))
+    noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
+    act_buf = np.empty_like(noise)
+    episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in envs]
 
-    for e, env in enumerate(envs):
-        obs = env.observe() if env.state is not None else env.reset()
-        ep_ret = getattr(env, "_running_return", 0.0)
-        ep_len = getattr(env, "_running_length", 0)
-        base = e * steps_per_env
-        for t in range(steps_per_env):
-            i = base + t
-            mean = nn.forward(policy, obs)
-            action = mean + cfg.sigma * rng.standard_normal(env.act_dim)
-            obs_buf[i] = obs
-            act_buf[i] = action
-            logp_buf[i] = nn.gaussian_log_prob(mean, cfg.sigma, action)
-            val_buf[i] = float(nn.forward(critic, obs)[0])
-            obs, r, status = env.step(action)
-            rew_buf[i] = r
-            ep_ret += r
-            ep_len += 1
+    obs = np.array([env.observe() if env.state is not None else env.reset()
+                    for env in envs], dtype=float)
+    ep_ret = [getattr(env, "_running_return", 0.0) for env in envs]
+    ep_len = [getattr(env, "_running_length", 0) for env in envs]
+    for t in range(steps_per_env):
+        obs_buf[:, t] = obs
+        mean = nn.forward(policy, obs[:, None, :])[:, 0]
+        mean_buf[:, t] = mean
+        val_buf[:, t] = nn.forward(critic, obs[:, None, :])[:, 0, 0]
+        action = mean + cfg.sigma * noise[:, t]
+        act_buf[:, t] = action
+        for e, env in enumerate(envs):
+            ob, r, status = env.step(action[e])
+            rew_buf[e, t] = r
+            ep_ret[e] += r
+            ep_len[e] += 1
             if status is not TermStatus.RUNNING:
-                done_buf[i] = 1.0
-                ep_returns.append(ep_ret)
-                ep_lengths.append(ep_len)
-                ep_ret, ep_len = 0.0, 0
-                obs = env.reset()
-        if done_buf[base + steps_per_env - 1] == 0.0:
-            bootstrap[e] = float(nn.forward(critic, obs)[0])
-        env._running_return = ep_ret
-        env._running_length = ep_len
+                done_buf[e, t] = 1.0
+                episodes[e].append((ep_ret[e], ep_len[e], status))
+                ep_ret[e], ep_len[e] = 0.0, 0
+                ob = env.reset()
+            obs[e] = ob
+    tail = nn.forward(critic, obs[:, None, :])[:, 0, 0]
+    bootstrap = np.where(done_buf[:, -1] == 0.0, tail, 0.0)
+    for e, env in enumerate(envs):
+        env._running_return = ep_ret[e]
+        env._running_length = ep_len[e]
 
-    return RolloutBuffer(obs_buf, act_buf, logp_buf, rew_buf, val_buf,
-                         done_buf, bootstrap, n_envs,
-                         episode_returns=ep_returns, episode_lengths=ep_lengths)
+    t_total = n_envs * steps_per_env
+    act_buf = act_buf.reshape(t_total, act_dim)
+    mean_buf = mean_buf.reshape(t_total, act_dim)
+    ended = [ep for per_env in episodes for ep in per_env]
+    return RolloutBuffer(obs_buf.reshape(t_total, obs_dim), act_buf,
+                         nn.gaussian_log_prob(mean_buf, cfg.sigma, act_buf),
+                         rew_buf.reshape(t_total), val_buf.reshape(t_total),
+                         done_buf.reshape(t_total), bootstrap, n_envs,
+                         episode_returns=[r for r, _, _ in ended],
+                         episode_lengths=[n for _, n, _ in ended],
+                         episode_ends=[s for _, _, s in ended])
 
 
 def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
@@ -224,7 +243,8 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
 
 
 TRAIN_LOG_HEADER = ("update_index,env_steps,lr,mean_ep_reward,mean_ep_len,"
-                    "policy_loss,value_loss,clip_fraction")
+                    "policy_loss,value_loss,clip_fraction,"
+                    "n_out_of_bounds,n_diverged,n_max_steps,action_clip_fraction")
 
 
 @dataclass
@@ -237,12 +257,18 @@ class TrainLogRow:
     policy_loss: float
     value_loss: float
     clip_fraction: float
+    n_out_of_bounds: int        # episodes of the rollout ended by each reason
+    n_diverged: int
+    n_max_steps: int
+    action_clip_fraction: float  # share of pre-clamp action entries with |a| > 1
 
     def csv(self) -> str:
         return (f"{self.update_index},{self.env_steps},{self.lr:.9g},"
                 f"{self.mean_ep_reward:.9g},{self.mean_ep_len:.9g},"
                 f"{self.policy_loss:.9g},{self.value_loss:.9g},"
-                f"{self.clip_fraction:.9g}")
+                f"{self.clip_fraction:.9g},{self.n_out_of_bounds},"
+                f"{self.n_diverged},{self.n_max_steps},"
+                f"{self.action_clip_fraction:.9g}")
 
 
 def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
@@ -283,6 +309,10 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
                 policy_loss=losses["policy_loss"],
                 value_loss=losses["value_loss"],
                 clip_fraction=losses["clip_fraction"],
+                n_out_of_bounds=buf.episode_ends.count(TermStatus.OUT_OF_BOUNDS),
+                n_diverged=buf.episode_ends.count(TermStatus.DIVERGED),
+                n_max_steps=buf.episode_ends.count(TermStatus.MAX_STEPS),
+                action_clip_fraction=float(np.mean(np.abs(buf.actions) > 1.0)),
             )
             log.append(row)
             if log_fh:

@@ -3,22 +3,31 @@ single "[ACCEPTANCE] name: PASS/FAIL" line on stdout.
 
 The training-dependent criteria share desk-scale artifacts (3 seeds x 5e5
 steps for the quadcopter stage plus developmental and scratch tilt-rotor
-stages). Those runs take tens of minutes each, so artifacts are cached under
-TILTRL_ACCEPTANCE_CACHE (default: /tmp/tiltrl_acceptance) and reused when
-present. Delete the cache directory to force a full retrain.
+stages). Those runs take minutes each, so artifacts are cached under
+TILTRL_ACCEPTANCE_CACHE (default: /tmp/tiltrl_acceptance). Each run directory
+holds a key, a sha256 over the package sources, the stage's command line and
+budgets, the numpy version and, for a developmental stage, its quad stage's
+key. A directory whose key is missing or differs is deleted and retrained.
+Stale stages train in child processes, up to one per seed at a time.
+Delete the cache directory to force a full retrain.
 """
 
 import glob
+import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
 
+import tiltrl
 import tiltrl.neuralnet as nn
 from tiltrl import ppo, transfer
-from tiltrl.cli import main
 from tiltrl.dynamics import (ActuatorCommand, RigidState, SimParams,
                              derivative, quat_to_rot, step)
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
@@ -27,7 +36,12 @@ from tiltrl.evalsuite import (PidGains, default_square_mission,
                               run_fault_ablation, run_hover_eval,
                               run_waypoint_mission)
 
-CACHE = os.environ.get("TILTRL_ACCEPTANCE_CACHE", "/tmp/tiltrl_acceptance")
+pytestmark = pytest.mark.acceptance
+
+CACHE = os.path.abspath(os.environ.get("TILTRL_ACCEPTANCE_CACHE",
+                                       "/tmp/tiltrl_acceptance"))
+SRC_DIR = os.path.dirname(os.path.abspath(tiltrl.__file__))
+KEY_FILE = "cache_key.txt"
 SEEDS = (1, 2, 3)
 DESK_STEPS = 500_000
 SNAP_EVERY = 2            # checkpoint every 2 updates -> ~15 curve points
@@ -50,22 +64,45 @@ def _cli_env(steps: int):
     }
 
 
-def _with_env(overrides, fn):
-    old = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
-    try:
-        return fn()
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def _train(argv, steps=DESK_STEPS):
-    rc = _with_env(_cli_env(steps), lambda: main(argv))
+    """Run one CLI training in a child process inside CACHE, so that stages
+    can train side by side and argv can name checkpoints relative to CACHE."""
+    env = {**os.environ, **_cli_env(steps),
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               os.path.dirname(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    rc = subprocess.run([sys.executable, "-m", "tiltrl.cli", *argv],
+                        cwd=CACHE, env=env).returncode
     assert rc == 0, f"training command failed: {argv}"
+
+
+def _stage_key(argv, parent_key: str = "") -> str:
+    """sha256 over every package source file (sorted by name), the stage's
+    argv, the step budget, the snapshot cadence, the numpy version and the
+    key of the stage this one starts from."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(f"{os.path.basename(path)}:{len(data)}:".encode())
+        h.update(data)
+    h.update(json.dumps([argv, DESK_STEPS, SNAP_EVERY, np.__version__,
+                         parent_key]).encode())
+    return h.hexdigest()
+
+
+def _ensure_stage(run_dir: str, argv, key: str) -> None:
+    """Train argv into run_dir unless it holds a run with this key. A stale
+    or unkeyed directory, its cached eval curve included, is removed first;
+    the key is written only once training has finished."""
+    key_path = os.path.join(run_dir, KEY_FILE)
+    if os.path.exists(key_path):
+        with open(key_path) as fh:
+            if fh.read() == key:
+                return
+    shutil.rmtree(run_dir, ignore_errors=True)
+    _train([*argv, "--out", run_dir])
+    with open(key_path, "w") as fh:
+        fh.write(key)
 
 
 def _run_dir(kind: str, seed: int) -> str:
@@ -76,18 +113,45 @@ def _final(kind: str, seed: int) -> str:
     return os.path.join(_run_dir(kind, seed), "checkpoint_final.bin")
 
 
+def _stage(kind: str, seed: int) -> tuple[list[str], str]:
+    """The stage's CLI argv, with paths relative to CACHE, and its key."""
+    if kind == "quad":
+        argv = ["train-quad", "--seed", str(seed)]
+        return argv, _stage_key(argv)
+    if kind == "dev":
+        argv = ["train-tilt", "--from", os.path.relpath(_final("quad", seed), CACHE),
+                "--seed", str(seed)]
+        return argv, _stage_key(argv, parent_key=_stage("quad", seed)[1])
+    argv = ["train-tilt", "--scratch", "--seed", str(seed)]
+    return argv, _stage_key(argv)
+
+
 def _ensure_trained() -> None:
+    """Bring every stage up to date, training stale stages side by side, one
+    per seed at a time. A developmental stage starts once its quad stage is
+    current. Each stage's eval curve is scored as soon as the stage is
+    current, while the others train."""
     os.makedirs(CACHE, exist_ok=True)
-    for seed in SEEDS:
-        quad_dir = _run_dir("quad", seed)
-        if not os.path.exists(_final("quad", seed)):
-            _train(["train-quad", "--seed", str(seed), "--out", quad_dir])
-        if not os.path.exists(_final("dev", seed)):
-            _train(["train-tilt", "--from", _final("quad", seed),
-                    "--seed", str(seed), "--out", _run_dir("dev", seed)])
-        if not os.path.exists(_final("conv", seed)):
-            _train(["train-tilt", "--scratch", "--seed", str(seed),
-                    "--out", _run_dir("conv", seed)])
+    pool = ThreadPoolExecutor(max_workers=len(SEEDS))
+    stages = {}
+
+    def submit(kind, seed):
+        job = pool.submit(_ensure_stage, _run_dir(kind, seed), *_stage(kind, seed))
+        stages[job] = (kind, seed)
+        return job
+
+    try:
+        pending = {submit(kind, seed) for seed in SEEDS for kind in ("quad", "conv")}
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for job in done:
+                job.result()
+                kind, seed = stages[job]
+                if kind == "quad":
+                    pending.add(submit("dev", seed))
+                _eval_curve(kind, seed)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @pytest.fixture(scope="session")
@@ -131,8 +195,9 @@ def deterministic_eval_reward(actor: nn.Mlp, platform: Platform,
     return float(np.mean(totals))
 
 
-def _eval_curve(kind: str, seed: int, platform: Platform) -> list[tuple[int, float]]:
+def _eval_curve(kind: str, seed: int) -> list[tuple[int, float]]:
     """Deterministic-eval reward at every logged checkpoint, cached as JSON."""
+    platform = Platform.QUAD if kind == "quad" else Platform.TILT_ROTOR
     cache_path = os.path.join(_run_dir(kind, seed), "eval_curve.json")
     if os.path.exists(cache_path):
         with open(cache_path) as fh:
@@ -142,6 +207,57 @@ def _eval_curve(kind: str, seed: int, platform: Platform) -> list[tuple[int, flo
     with open(cache_path, "w") as fh:
         json.dump(curve, fh)
     return curve
+
+
+# --- 0. artifact cache -------------------------------------------------------
+
+class TestArtifactCache:
+    def test_key_tracks_sources_and_stale_runs_retrain(self, tmp_path, monkeypatch):
+        src = tmp_path / "src"
+        shutil.copytree(SRC_DIR, src, ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setitem(globals(), "SRC_DIR", str(src))
+        argv = ["train-quad", "--seed", "1"]
+        key = _stage_key(argv)
+        assert _stage_key(list(argv)) == key
+        assert _stage_key(argv, parent_key=key) != key
+        assert _stage_key(["train-quad", "--seed", "2"]) != key
+
+        source = src / "ppo.py"
+        data = source.read_bytes()
+        source.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        assert _stage_key(argv) != key
+        source.write_bytes(data)
+        assert _stage_key(argv) == key
+
+        dev = _stage("dev", 1)
+        monkeypatch.setitem(globals(), "CACHE", str(tmp_path / "moved"))
+        assert _stage("dev", 1) == dev      # keys do not depend on the cache path
+
+        trained = []
+
+        def fake_train(full_argv):
+            out = full_argv[full_argv.index("--out") + 1]
+            os.makedirs(out)
+            open(os.path.join(out, "checkpoint_final.bin"), "wb").close()
+            trained.append(full_argv)
+
+        monkeypatch.setitem(globals(), "_train", fake_train)
+        run_dir = str(tmp_path / "quad_s1")
+        os.makedirs(run_dir)
+        for name, text in (("checkpoint_final.bin", "old"), ("eval_curve.json", "[]"),
+                           (KEY_FILE, "stale")):
+            with open(os.path.join(run_dir, name), "w") as fh:
+                fh.write(text)
+        _ensure_stage(run_dir, argv, key)
+        assert trained == [[*argv, "--out", run_dir]]
+        assert not os.path.exists(os.path.join(run_dir, "eval_curve.json"))
+        with open(os.path.join(run_dir, KEY_FILE)) as fh:
+            assert fh.read() == key
+        _ensure_stage(run_dir, argv, key)   # current key: reused as is
+        assert len(trained) == 1
+        os.remove(os.path.join(run_dir, KEY_FILE))
+        _ensure_stage(run_dir, argv, key)   # unkeyed: retrained
+        assert len(trained) == 2
 
 
 # --- 1. dynamics property suite ----------------------------------------------
@@ -317,7 +433,7 @@ class TestUnitReproductions:
 class TestDeskScaleTraining:
     def test_quad_learning_and_hover_success(self, artifacts):
         # Reward curve: mean across seeds, thirds must be monotone.
-        curves = [_eval_curve("quad", s, Platform.QUAD) for s in SEEDS]
+        curves = [_eval_curve("quad", s) for s in SEEDS]
         n = min(len(c) for c in curves)
         mean_curve = np.mean([[r for _, r in c[:n]] for c in curves], axis=0)
         third = n // 3
@@ -343,8 +459,8 @@ class TestDeskScaleTraining:
 
 class TestDevelopmentalAdvantage:
     def test_dev_beats_conventional(self, artifacts):
-        dev = [_eval_curve("dev", s, Platform.TILT_ROTOR) for s in SEEDS]
-        conv = [_eval_curve("conv", s, Platform.TILT_ROTOR) for s in SEEDS]
+        dev = [_eval_curve("dev", s) for s in SEEDS]
+        conv = [_eval_curve("conv", s) for s in SEEDS]
         n = min(min(len(c) for c in dev), min(len(c) for c in conv))
         dev_mean = np.mean([[r for _, r in c[:n]] for c in dev], axis=0)
         conv_mean = np.mean([[r for _, r in c[:n]] for c in conv], axis=0)

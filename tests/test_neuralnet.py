@@ -71,6 +71,20 @@ class TestForward:
         for i in range(10):
             np.testing.assert_allclose(batch[i], forward(net, xs[i]), atol=1e-14)
 
+    @pytest.mark.parametrize("output_tanh", [True, False])
+    @pytest.mark.parametrize("sizes", [[18, 64, 64, 4], [18, 64, 64, 1],
+                                       [22, 64, 64, 8], [22, 64, 64, 1]])
+    def test_stacked_rows_bit_identical_to_single(self, sizes, output_tanh):
+        # A (N, 1, in) stack runs N vector-matrix products, the rollout's
+        # batched forward; each row must equal the single-input forward.
+        rng = np.random.default_rng(sum(sizes) + output_tanh)
+        net = make_mlp(sizes, rng, output_tanh=output_tanh)
+        xs = rng.standard_normal((8, sizes[0]))
+        stacked = forward(net, xs[:, None, :])[:, 0]
+        assert stacked.shape == (8, sizes[-1])
+        for i in range(8):
+            assert stacked[i].tobytes() == forward(net, xs[i]).tobytes()
+
 
 class TestGradients:
     def test_linear_single_layer(self):

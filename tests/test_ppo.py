@@ -156,6 +156,40 @@ class TestCollectRollout:
             mean = nn.forward(policy, buf.obs[i])
             np.testing.assert_allclose(buf.actions[i], mean, atol=1e-9)
 
+    def test_replay_oracle_bit_exact(self):
+        # Replay each env's segment of the buffer's actions through a fresh
+        # env built from the same seed, one observation at a time, and
+        # rebuild every stored quantity from single-row forwards and an
+        # identically seeded block noise draw.
+        n, horizon, sigma = 3, 3 * 120, 0.7
+        envs = make_envs(n, seed=4)
+        policy, critic = make_nets(seed=4)
+        cfg = ppo.TrainConfig(rollout_horizon=horizon, n_envs=n, sigma=sigma)
+        buf = ppo.collect_rollout(policy, critic, envs, cfg,
+                                  np.random.default_rng(11))
+        seg = horizon // n
+        noise = np.random.default_rng(11).standard_normal((n, seg, 4))
+        assert buf.dones.sum() > 0   # the replay crosses episode resets
+
+        for e, seq in enumerate(np.random.SeedSequence(4).spawn(n)):
+            env = HoverEnv(Platform.QUAD, SimParams(), EpisodeConfig(),
+                           RewardWeights(), np.random.default_rng(seq))
+            obs = env.reset()
+            for t in range(seg):
+                i = e * seg + t
+                assert buf.obs[i].tobytes() == obs.tobytes()
+                mean = nn.forward(policy, obs)
+                assert buf.actions[i].tobytes() == (mean + sigma * noise[e, t]).tobytes()
+                assert buf.log_probs[i] == nn.gaussian_log_prob(mean, sigma, buf.actions[i])
+                assert buf.values[i] == nn.forward(critic, obs)[0]
+                obs, r, status = env.step(buf.actions[i])
+                assert buf.rewards[i] == r
+                assert buf.dones[i] == float(status is not TermStatus.RUNNING)
+                if status is not TermStatus.RUNNING:
+                    obs = env.reset()
+            tail = 0.0 if buf.dones[e * seg + seg - 1] else nn.forward(critic, obs)[0]
+            assert buf.bootstrap[e] == tail
+
     def test_deterministic_given_seeds(self):
         def run():
             envs = make_envs(2, seed=5)
@@ -315,6 +349,33 @@ class TestTrainLoop:
         lines = log_path.read_text().strip().split("\n")
         assert lines[0] == ppo.TRAIN_LOG_HEADER
         assert len(lines) == 5
+
+    def test_log_counts_episode_ends_and_action_clipping(self, tmp_path):
+        envs = [FixedRewardEnv(), FixedRewardEnv()]
+        rng = np.random.default_rng(1)
+        policy = nn.make_mlp([3, 4, 2], rng, output_tanh=True)
+        critic = nn.make_mlp([3, 4, 1], rng, output_tanh=False)
+        cfg = ppo.TrainConfig(total_steps=20, rollout_horizon=20, n_envs=2)
+        log_path = tmp_path / "log.csv"
+        (row,) = ppo.train(envs, policy, critic, cfg, np.random.default_rng(0),
+                           log_path=log_path)
+        # Two envs x 10 steps, episodes of 5: four time-limit endings.
+        assert (row.n_out_of_bounds, row.n_diverged, row.n_max_steps) == (0, 0, 4)
+        # The policy is fixed during the rollout, so its actions are the
+        # mean at the stub's constant observation plus the rng's block draw.
+        mean = nn.forward(nn.make_mlp([3, 4, 2], np.random.default_rng(1)),
+                          np.full(3, 0.5))
+        actions = mean + np.random.default_rng(0).standard_normal((2, 10, 2))
+        assert row.action_clip_fraction == np.mean(np.abs(actions) > 1.0)
+        header, line = log_path.read_text().strip().split("\n")
+        fields = dict(zip(header.split(","), line.split(",")))
+        assert list(fields)[:8] == ["update_index", "env_steps", "lr",
+                                    "mean_ep_reward", "mean_ep_len",
+                                    "policy_loss", "value_loss", "clip_fraction"]
+        assert fields["n_out_of_bounds"] == fields["n_diverged"] == "0"
+        assert fields["n_max_steps"] == "4"
+        assert float(fields["action_clip_fraction"]) == pytest.approx(
+            row.action_clip_fraction, rel=1e-9)
 
     def test_train_deterministic(self):
         def run():
