@@ -30,9 +30,10 @@ from . import ppo, transfer
 from .config import ConfigError, RunConfig, as_flat_dict, default_config, \
     load_config, write_config
 from .env import EpisodeCounter, HoverEnv, Platform, write_trace
-from .evalsuite import (SUMMARY_HEADER, default_square_mission, run_fault_ablation,
-                        run_hover_eval, run_waypoint_mission, summary_rows)
-from .neuralnet import ShapeMismatchError
+from .evalsuite import (SUMMARY_HEADER, actor_platform, default_square_mission,
+                        run_fault_ablation, run_hover_eval, run_waypoint_mission,
+                        summary_rows)
+from .neuralnet import ShapeMismatchError, atomic_open
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def make_envs(platform: Platform, cfg: RunConfig, seed: int) -> list[HoverEnv]:
@@ -62,7 +70,7 @@ def write_manifest(out_dir: str, stage: str, seed: int, cfg: RunConfig,
                    for k, v in as_flat_dict(cfg).items()},
         "artifacts": artifacts,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2)
 
 
@@ -132,11 +140,7 @@ def cmd_train_tilt(args) -> int:
         quad_critic, _ = nets["critic"]
         policy, actor_report = transfer.build_tilt_actor(quad_actor, init_rng)
         critic, critic_report = transfer.build_tilt_critic(quad_critic, init_rng)
-        with open(os.path.join(args.out, "transfer_report.txt"), "w") as fh:
-            fh.write("actor\n" + actor_report.to_text() + "\n\n")
-            fh.write("critic\n" + critic_report.to_text() + "\n")
-        with open(os.path.join(args.out, "transfer_report.csv"), "w") as fh:
-            fh.write(actor_report.to_csv() + "\n" + critic_report.to_csv() + "\n")
+        _write_transfer_reports(args.out, actor_report, critic_report)
     else:
         h = cfg.train.hidden_sizes
         tilt = Platform.TILT_ROTOR
@@ -144,6 +148,14 @@ def cmd_train_tilt(args) -> int:
         critic = nn.make_mlp([tilt.obs_dim, *h, 1], init_rng, output_tanh=False)
     _run_training(args.out, Platform.TILT_ROTOR, cfg, seed, policy, critic, train_rng)
     return 0
+
+
+def _write_transfer_reports(out_dir, actor_report, critic_report) -> None:
+    with atomic_open(os.path.join(out_dir, "transfer_report.txt")) as fh:
+        fh.write("actor\n" + actor_report.to_text() + "\n\n")
+        fh.write("critic\n" + critic_report.to_text() + "\n")
+    with atomic_open(os.path.join(out_dir, "transfer_report.csv")) as fh:
+        fh.write(actor_report.to_csv() + "\n" + critic_report.to_csv() + "\n")
 
 
 def _load_actor(path) -> nn.Mlp:
@@ -165,9 +177,7 @@ def cmd_eval(args) -> int:
         actor = _load_actor(args.checkpoint)
 
     if args.mode == "hover":
-        platform = (Platform.QUAD if actor.in_dim == Platform.QUAD.obs_dim
-                    else Platform.TILT_ROTOR)
-        results = run_hover_eval(actor, platform, cfg.sim, args.trials, seed,
+        results = run_hover_eval(actor, actor_platform(actor), cfg.sim, args.trials, seed,
                                  trace_dir=args.out)
         _write_summary(args.out, results, 0)
         n_ok = sum(r.success for r in results)
@@ -189,7 +199,7 @@ def cmd_eval(args) -> int:
 
 
 def _write_summary(out_dir, results, n_faulty) -> None:
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "summary.csv")) as fh:
         fh.write(SUMMARY_HEADER + "\n")
         fh.write("\n".join(summary_rows(results, n_faulty)) + "\n")
 
@@ -206,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-quad", help="train the quadcopter policy from scratch")
     common(p)
-    p.add_argument("--steps", type=int, default=None, help="override total_steps")
+    p.add_argument("--steps", type=positive_int, default=None, help="override total_steps")
     p.set_defaults(func=cmd_train_quad)
 
     p = sub.add_parser("train-tilt", help="train the tilt-rotor policy")
     common(p)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=positive_int, default=None)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--from", dest="from_checkpoint", metavar="CKPT",
                        help="developmental transfer from a quad checkpoint")
@@ -222,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a trained policy")
     p.add_argument("checkpoint", nargs="?", default=None)
     p.add_argument("--mode", choices=["hover", "waypoint", "ablate"], required=True)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=positive_int, default=10)
     p.add_argument("--faulty", type=int, default=1, choices=[1, 2, 3, 4])
     p.add_argument("--controller", choices=["policy", "pid"], default="policy")
     common(p)

@@ -69,40 +69,13 @@ class SimParams:
         return self.mass_kg * self.gravity_mps2 / 4.0
 
 
-@dataclass
-class RigidState:
-    """Full simulator state. Arrays are owned copies, world frame unless noted."""
-
-    position_m: np.ndarray          # (3,)
-    velocity_mps: np.ndarray        # (3,)
-    orientation: np.ndarray         # (4,) unit quaternion (w, x, y, z), body->world
-    body_rates_radps: np.ndarray    # (3,) p, q, r in body frame
-    tilt_angles_rad: np.ndarray     # (4,)
-    thrusts_n: np.ndarray           # (4,) actual lagged thrusts
-
-    @classmethod
-    def hover(cls, params: SimParams, position=(0.0, 0.0, 0.0)) -> "RigidState":
-        """Level equilibrium at rest with hover thrusts."""
-        return cls(
-            position_m=np.asarray(position, dtype=float).copy(),
-            velocity_mps=np.zeros(3),
-            orientation=np.array([1.0, 0.0, 0.0, 0.0]),
-            body_rates_radps=np.zeros(3),
-            tilt_angles_rad=np.zeros(4),
-            thrusts_n=np.full(4, params.hover_thrust_n),
-        )
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([
-            self.position_m, self.velocity_mps, self.orientation,
-            self.body_rates_radps, self.tilt_angles_rad, self.thrusts_n,
-        ])
-
-    @classmethod
-    def from_flat(cls, y: np.ndarray) -> "RigidState":
-        y = np.asarray(y, dtype=float)
-        return cls(y[0:3].copy(), y[3:6].copy(), y[6:10].copy(),
-                   y[10:13].copy(), y[13:17].copy(), y[17:21].copy())
+def hover_state(params: SimParams, position=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Flat state of the level equilibrium at rest with hover thrusts."""
+    y = np.zeros(21)
+    y[0:3] = position
+    y[6] = 1.0
+    y[17:21] = params.hover_thrust_n
+    return y
 
 
 @dataclass
@@ -111,10 +84,6 @@ class ActuatorCommand:
 
     thrust_cmd_n: np.ndarray        # (4,)
     tilt_rate_cmd_radps: np.ndarray  # (4,)
-
-    @classmethod
-    def hover(cls, params: SimParams) -> "ActuatorCommand":
-        return cls(np.full(4, params.hover_thrust_n), np.zeros(4))
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -283,13 +252,3 @@ def step_flat(y: np.ndarray, thrust_cmd, tilt_cmd, params: SimParams) -> np.ndar
     for i in range(17, 21):
         out[i] = min(fhi, max(flo, out[i]))
     return np.array(out)
-
-
-def step(state: RigidState, cmd: ActuatorCommand, params: SimParams) -> RigidState:
-    """Advance the state by one dt_s using RK4.
-
-    The quaternion is renormalized and tilt angles / thrusts clamped to
-    their ranges after the step. Raises NonFiniteError on blow-up.
-    """
-    y = step_flat(state.to_flat(), cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, params)
-    return RigidState.from_flat(y)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .dynamics import (
     ActuatorCommand,
-    RigidState,
     SimParams,
     _euler_from_rot,
     euler_zyx,
@@ -30,6 +29,7 @@ from .dynamics import (
     step_flat,
     NonFiniteError,
 )
+from .neuralnet import atomic_open
 
 
 class Platform(enum.Enum):
@@ -159,8 +159,8 @@ def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
 
 
 def reset_state(rng: np.random.Generator, cfg: EpisodeConfig,
-                episode_index: int, params: SimParams) -> RigidState:
-    """Sample an initial state for one episode.
+                episode_index: int, params: SimParams) -> np.ndarray:
+    """Sample an initial flat state for one episode.
 
     Position is uniform in a cube around the target; speed and body-rate
     magnitudes are uniform with uniformly random directions. Orientation is
@@ -184,14 +184,8 @@ def reset_state(rng: np.random.Generator, cfg: EpisodeConfig,
         e = cfg.euler_init_range_rad
         q = quat_from_euler_zyx(*rng.uniform(-e, e, 3))
 
-    return RigidState(
-        position_m=pos,
-        velocity_mps=vel,
-        orientation=q,
-        body_rates_radps=omega,
-        tilt_angles_rad=np.zeros(4),
-        thrusts_n=np.full(4, params.hover_thrust_n),
-    )
+    return np.concatenate([pos, vel, q, omega, np.zeros(4),
+                           np.full(4, params.hover_thrust_n)])
 
 
 class EpisodeCounter:
@@ -209,7 +203,8 @@ class EpisodeCounter:
 class HoverEnv:
     """Gym-style wrapper: reset() -> obs, step(action) -> (obs, reward, status).
 
-    Each instance owns its RNG and state; instances are independent.
+    Each instance owns its RNG and its flat state `y` (layout in `dynamics`,
+    None before the first reset); instances are independent.
     """
 
     def __init__(self, platform: Platform, params: SimParams, cfg: EpisodeConfig,
@@ -221,17 +216,9 @@ class HoverEnv:
         self.weights = weights
         self.rng = rng
         self.counter = counter if counter is not None else EpisodeCounter()
-        self._y: np.ndarray | None = None   # flat state, see dynamics layout
+        self.y: np.ndarray | None = None
         self.t = 0
         self._target = np.asarray(cfg.target_position_m, dtype=float)
-
-    @property
-    def state(self) -> RigidState | None:
-        return RigidState.from_flat(self._y) if self._y is not None else None
-
-    @state.setter
-    def state(self, value: RigidState | None):
-        self._y = value.to_flat() if value is not None else None
 
     @property
     def obs_dim(self) -> int:
@@ -242,10 +229,10 @@ class HoverEnv:
         return self.platform.act_dim
 
     def observe(self) -> np.ndarray:
-        return observation(self._y, self._target, self.platform)
+        return observation(self.y, self._target, self.platform)
 
     def reset(self) -> np.ndarray:
-        self.state = reset_state(self.rng, self.cfg, self.counter.next(), self.params)
+        self.y = reset_state(self.rng, self.cfg, self.counter.next(), self.params)
         self.t = 0
         return self.observe()
 
@@ -253,11 +240,11 @@ class HoverEnv:
         """Apply one clamped/scaled action; reward is on the post-step state."""
         a, cmd = actuator_command(action, self.platform, self.params)
         try:
-            y = step_flat(self._y, cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, self.params)
+            y = step_flat(self.y, cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, self.params)
         except NonFiniteError:
             self.t += 1
             return np.zeros(self.obs_dim), 0.0, TermStatus.DIVERGED
-        self._y = y
+        self.y = y
         self.t += 1
         obs = observation(y, self._target, self.platform)
         return obs, reward(obs, a, self.weights), termination(y, self.t, self.cfg)
@@ -278,7 +265,7 @@ def trace_row(t: int, y: np.ndarray, action: np.ndarray, rew: float) -> str:
 
 
 def write_trace(path, rows: list[str]) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(TRACE_HEADER + "\n")
         for row in rows:
             fh.write(row + "\n")

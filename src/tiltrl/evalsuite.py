@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neuralnet as nn
-from .dynamics import (ActuatorCommand, NonFiniteError, RigidState, SimParams,
-                       euler_zyx, quat_to_rot, step_flat)
+from .dynamics import (ActuatorCommand, NonFiniteError, SimParams, euler_zyx,
+                       hover_state, quat_to_rot, step_flat)
 from .env import (EpisodeConfig, Platform, actuator_command, observation,
                   reset_state, trace_row, write_trace)
 
@@ -99,8 +99,52 @@ def _trial_result(trial: int, seed: int, success: bool, steps: int, y: np.ndarra
         final_tilt_rad=tuple(y[13:17]), servo_ids=servo_ids)
 
 
+def actor_platform(actor: nn.Mlp) -> Platform:
+    """The platform whose observation the actor takes as input."""
+    for platform in Platform:
+        if actor.in_dim == platform.obs_dim:
+            return platform
+    raise nn.ShapeMismatchError(f"actor input width {actor.in_dim} fits no platform")
+
+
+def _run_trials(actor: nn.Mlp, platform: Platform, params: SimParams, n_trials: int,
+                seed: int, n_faulty: int = 0, response_probability: float = 0.4,
+                trace_dir: str | None = None) -> list[TrialResult]:
+    """Hover-recovery trials around HOVER_TARGET, with n_faulty servos that
+    obey each commanded rate with probability response_probability.
+
+    Trial k's SeedSequence([seed, k]) drives the faulty-servo choice, then
+    the initial state; a stream spawned from it drives the servo responses,
+    so two policies evaluated with the same seed see identical conditions
+    and draws. Choosing zero servos draws nothing: hover is the zero-fault
+    case."""
+    cfg = EpisodeConfig(target_position_m=HOVER_TARGET)
+    results = []
+    for trial in range(n_trials):
+        trial_seed = np.random.SeedSequence([seed, trial])
+        init_rng = np.random.default_rng(trial_seed)
+        faulty = tuple(int(s) for s in init_rng.choice(4, size=n_faulty, replace=False))
+        y = reset_state(init_rng, cfg, cfg.so3_warmup_episodes, params)
+        frng = np.random.default_rng(trial_seed.spawn(1)[0])
+
+        def cmd_fn(y, t):
+            cmd, a = policy_command(actor, y, HOVER_TARGET, platform, params)
+            for s in faulty:
+                if frng.random() >= response_probability:
+                    cmd.tilt_rate_cmd_radps[s] = 0.0
+            return cmd, a
+
+        final, success, steps, rows = _run_to_goal(
+            cmd_fn, y, HOVER_TARGET, params, record_trace=trace_dir is not None)
+        if trace_dir is not None:
+            write_trace(os.path.join(trace_dir, f"hover_trace_{trial:03d}.csv"), rows)
+        results.append(_trial_result(trial, seed, success, steps, final, HOVER_TARGET,
+                                     faulty))
+    return results
+
+
 def run_hover_eval(actor: nn.Mlp, platform: Platform, params: SimParams,
-                   n_trials: int, seed: int, target=HOVER_TARGET,
+                   n_trials: int, seed: int,
                    trace_dir: str | None = None) -> list[TrialResult]:
     """Hover recovery from random initial states around the target.
 
@@ -108,64 +152,20 @@ def run_hover_eval(actor: nn.Mlp, platform: Platform, params: SimParams,
     range (no SO(3) warmup at evaluation). Success: within 0.2 m of the
     target at any step within the budget. With trace_dir, each trial's
     trace is written to trace_dir/hover_trace_NNN.csv as the trial ends."""
-    cfg = EpisodeConfig(target_position_m=tuple(target))
-    results = []
-    for trial in range(n_trials):
-        trial_seed = np.random.SeedSequence([seed, trial])
-        rng = np.random.default_rng(trial_seed)
-        y = reset_state(rng, cfg, cfg.so3_warmup_episodes, params).to_flat()
-
-        def cmd_fn(y, t):
-            return policy_command(actor, y, target, platform, params)
-
-        final, success, steps, rows = _run_to_goal(
-            cmd_fn, y, target, params, record_trace=trace_dir is not None)
-        if trace_dir is not None:
-            write_trace(os.path.join(trace_dir, f"hover_trace_{trial:03d}.csv"), rows)
-        results.append(_trial_result(trial, seed, success, steps, final, target))
-    return results
-
-
-def fault_draws(trial_seed: np.random.SeedSequence):
-    """Dedicated Bernoulli stream for servo responses, independent of the
-    initial-state stream so paired policies consume identical draws."""
-    return np.random.default_rng(trial_seed.spawn(1)[0])
+    return _run_trials(actor, platform, params, n_trials, seed, trace_dir=trace_dir)
 
 
 def run_fault_ablation(actor: nn.Mlp, n_faulty: int, trials: int,
                        params: SimParams, seed: int,
-                       response_probability: float = 0.4,
-                       target=HOVER_TARGET) -> tuple[int, list[TrialResult]]:
+                       response_probability: float = 0.4) -> tuple[int, list[TrialResult]]:
     """Servo-fault ablation on the tilt-rotor: per timestep each faulty
     servo obeys the commanded rate with probability 0.4, otherwise rate 0.
-
-    Per-trial seeds drive initialization, faulty-servo choice, and fault
-    draws, so two policies evaluated with the same seed are exactly paired.
-    """
+    Returns (successes, trial results)."""
     if actor.in_dim != Platform.TILT_ROTOR.obs_dim:
         raise nn.ShapeMismatchError("fault ablation requires a tilt-rotor actor")
-    cfg = EpisodeConfig(target_position_m=tuple(target))
-    results = []
-    successes = 0
-    for trial in range(trials):
-        trial_seed = np.random.SeedSequence([seed, trial])
-        init_rng = np.random.default_rng(trial_seed)
-        faulty = tuple(init_rng.choice(4, size=n_faulty, replace=False))
-        y = reset_state(init_rng, cfg, cfg.so3_warmup_episodes, params).to_flat()
-        frng = fault_draws(trial_seed)
-
-        def cmd_fn(y, t):
-            cmd, a = policy_command(actor, y, target, Platform.TILT_ROTOR, params)
-            for s in faulty:
-                if frng.random() >= response_probability:
-                    cmd.tilt_rate_cmd_radps[s] = 0.0
-            return cmd, a
-
-        final, success, steps, _ = _run_to_goal(cmd_fn, y, target, params)
-        successes += int(success)
-        results.append(_trial_result(trial, seed, success, steps, final, target,
-                                     tuple(int(s) for s in faulty)))
-    return successes, results
+    results = _run_trials(actor, Platform.TILT_ROTOR, params, trials, seed, n_faulty,
+                          response_probability)
+    return sum(r.success for r in results), results
 
 
 # --- PID baseline -------------------------------------------------------------
@@ -188,24 +188,24 @@ class PidGains:
     max_tilt_accel: float = 5.0   # m/s^2 cap on horizontal acceleration demand
 
 
-def pid_controller(state: RigidState, target, gains: PidGains,
+def pid_controller(y: np.ndarray, target, gains: PidGains,
                    params: SimParams) -> ActuatorCommand:
-    """Cascaded PID: position error -> desired acceleration -> desired
-    attitude + collective thrust; attitude PD -> torques -> plus-config
-    mixing; tilt rates regulate tilt angles to zero."""
+    """Cascaded PID on the flat state y: position error -> desired
+    acceleration -> desired attitude + collective thrust; attitude PD ->
+    torques -> plus-config mixing; tilt rates regulate tilt angles to zero."""
     target = np.asarray(target, dtype=float)
     g = params.gravity_mps2
     m = params.mass_kg
     l = params.arm_length_m
     k = params.moment_ratio_m
 
-    a_des = gains.kp_pos * (target - state.position_m) - gains.kd_pos * state.velocity_mps
+    a_des = gains.kp_pos * (target - y[0:3]) - gains.kd_pos * y[3:6]
     a_norm = np.linalg.norm(a_des[:2])
     if a_norm > gains.max_tilt_accel:
         a_des[:2] *= gains.max_tilt_accel / a_norm
     a_des[2] += g
 
-    r = quat_to_rot(state.orientation)
+    r = quat_to_rot(y[6:10])
     # Desired body z aligned with the acceleration demand; yaw kept current.
     z_des = a_des / max(np.linalg.norm(a_des), 1e-9)
     yaw = math.atan2(r[1, 0], r[0, 0])
@@ -218,7 +218,7 @@ def pid_controller(state: RigidState, target, gains: PidGains,
     # Geometric attitude error 0.5*(Rd^T R - R^T Rd)^vee.
     e_mat = 0.5 * (r_des.T @ r - r.T @ r_des)
     e_att = np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
-    omega = state.body_rates_radps
+    omega = y[10:13]
     ix, iy, iz = params.inertia_diag
     tau = np.array([
         ix * (-gains.kp_att * e_att[0] - gains.kd_att * omega[0]),
@@ -240,7 +240,7 @@ def pid_controller(state: RigidState, target, gains: PidGains,
     f4 = fc - tx / (2 * l) + g4 * tz / (4 * k)
     thrust = np.clip([f1, f2, f3, f4], *params.thrust_range_n)
 
-    rates = np.clip(-gains.k_tilt * state.tilt_angles_rad,
+    rates = np.clip(-gains.k_tilt * y[13:17],
                     *params.tilt_rate_range_radps)
     return ActuatorCommand(np.asarray(thrust, dtype=float), rates)
 
@@ -253,16 +253,14 @@ class MissionResult:
 
 
 def run_waypoint_mission(controller, mission: MissionSpec, params: SimParams,
-                         start: RigidState | None = None,
-                         platform: Platform = Platform.TILT_ROTOR,
                          gains: PidGains | None = None) -> MissionResult:
-    """Fly the mission; the target switches to the next waypoint on reach.
+    """Fly the mission from hover at the first waypoint's altitude above
+    the origin; the target switches to the next waypoint on reach.
 
-    controller is either "pid" or a trained actor Mlp. Returns per-waypoint
-    hit flags and the full trace."""
-    if start is None:
-        start = RigidState.hover(params, (0.0, 0.0, mission.waypoints[0][2]))
-    y = start.to_flat()
+    controller is either "pid" or a trained actor Mlp of either platform.
+    Returns per-waypoint hit flags and the full trace."""
+    y = hover_state(params, (0.0, 0.0, mission.waypoints[0][2]))
+    platform = None if controller == "pid" else actor_platform(controller)
     gains = gains if gains is not None else PidGains()
     rows: list[str] = []
     hits: list[bool] = []
@@ -271,7 +269,7 @@ def run_waypoint_mission(controller, mission: MissionSpec, params: SimParams,
 
         if controller == "pid":
             def cmd_fn(y, t, _wp=wp_arr):
-                return pid_controller(RigidState.from_flat(y), _wp, gains, params), np.zeros(4)
+                return pid_controller(y, _wp, gains, params), np.zeros(4)
         else:
             def cmd_fn(y, t, _wp=wp_arr):
                 return policy_command(controller, y, _wp, platform, params)

@@ -31,6 +31,7 @@ Round-trip save/load is bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -281,21 +282,30 @@ def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
     return name, net, opt
 
 
-def save_checkpoint(path, nets: dict[str, tuple[Mlp, AdamState | None]],
-                    seed: int, train_step: int) -> None:
-    """Write networks (+ optional optimizer moments) to a versioned binary
-    file, atomically: the bytes go to `path`.tmp, which then replaces `path`."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open `path`.tmp for writing; once the block finishes it replaces
+    `path`. If the block fails, `path` keeps its old contents and the
+    temporary file is removed."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IQQB", CHECKPOINT_VERSION, seed, train_step, len(nets)))
-            for name, (net, opt) in nets.items():
-                _pack_net(fh, name, net, opt)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_checkpoint(path, nets: dict[str, tuple[Mlp, AdamState | None]],
+                    seed: int, train_step: int) -> None:
+    """Write networks (+ optional optimizer moments) to a versioned binary
+    file, atomically (see atomic_open)."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<IQQB", CHECKPOINT_VERSION, seed, train_step, len(nets)))
+        for name, (net, opt) in nets.items():
+            _pack_net(fh, name, net, opt)
 
 
 def load_checkpoint(path):

@@ -103,7 +103,7 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     act_buf = np.empty_like(noise)
     episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in envs]
 
-    obs = np.array([env.observe() if env.state is not None else env.reset()
+    obs = np.array([env.observe() if env.y is not None else env.reset()
                     for env in envs], dtype=float)
     ep_ret = [getattr(env, "_running_return", 0.0) for env in envs]
     ep_len = [getattr(env, "_running_length", 0) for env in envs]

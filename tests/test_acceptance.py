@@ -8,10 +8,12 @@ TILTRL_ACCEPTANCE_CACHE (default: /tmp/tiltrl_acceptance). Each run directory
 holds a key, a sha256 over the package sources, the stage's command line and
 budgets, the numpy version and, for a developmental stage, its quad stage's
 key. A directory whose key is missing or differs is deleted and retrained.
-Stale stages train in child processes, up to one per seed at a time.
+Stale stages train in child processes, up to one per seed at a time, and
+the fault-ablation cells run as child `tiltrl eval` processes side by side.
 Delete the cache directory to force a full retrain.
 """
 
+import csv
 import glob
 import hashlib
 import json
@@ -28,12 +30,11 @@ import pytest
 import tiltrl
 import tiltrl.neuralnet as nn
 from tiltrl import ppo, transfer
-from tiltrl.dynamics import (ActuatorCommand, RigidState, SimParams,
-                             derivative, quat_to_rot, step)
+from tiltrl.dynamics import (SimParams, derivative, hover_state, quat_to_rot,
+                             step_flat)
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
                         RewardWeights, TermStatus)
-from tiltrl.evalsuite import (PidGains, default_square_mission,
-                              run_fault_ablation, run_hover_eval,
+from tiltrl.evalsuite import (PidGains, default_square_mission, run_hover_eval,
                               run_waypoint_mission)
 
 pytestmark = pytest.mark.acceptance
@@ -64,14 +65,19 @@ def _cli_env(steps: int):
     }
 
 
-def _train(argv, steps=DESK_STEPS):
-    """Run one CLI training in a child process inside CACHE, so that stages
-    can train side by side and argv can name checkpoints relative to CACHE."""
-    env = {**os.environ, **_cli_env(steps),
+def _cli(argv, overrides=None) -> int:
+    """Run `tiltrl argv` in a child process inside CACHE, so that commands
+    can run side by side and argv can name checkpoints relative to CACHE."""
+    env = {**os.environ, **(overrides or {}),
            "PYTHONPATH": os.pathsep.join(filter(None, [
                os.path.dirname(SRC_DIR), os.environ.get("PYTHONPATH")]))}
-    rc = subprocess.run([sys.executable, "-m", "tiltrl.cli", *argv],
-                        cwd=CACHE, env=env).returncode
+    return subprocess.run([sys.executable, "-m", "tiltrl.cli", *argv],
+                          cwd=CACHE, env=env).returncode
+
+
+def _train(argv, steps=DESK_STEPS):
+    """Run one CLI training in a child process (see _cli)."""
+    rc = _cli(argv, _cli_env(steps))
     assert rc == 0, f"training command failed: {argv}"
 
 
@@ -264,26 +270,27 @@ class TestArtifactCache:
 
 class TestDynamicsProperties:
     def test_dynamics_property_suite(self):
+        # Flat state: position, velocity, quaternion, body rates, tilt
+        # angles, thrusts (dynamics module docstring).
         # Hover equilibrium: exact fixed point.
-        s = RigidState.hover(PARAMS, (0.0, 0.0, 3.0))
-        s2 = step(s, ActuatorCommand.hover(PARAMS), PARAMS)
-        hover_ok = bool(np.abs(s2.to_flat() - s.to_flat()).max() < 1e-12)
+        s = hover_state(PARAMS, (0.0, 0.0, 3.0))
+        s2 = step_flat(s, np.full(4, PARAMS.hover_thrust_n), np.zeros(4), PARAMS)
+        hover_ok = bool(np.abs(s2 - s).max() < 1e-12)
 
         # Energy/momentum conservation, 10 s torque-free.
         p0 = SimParams(gravity_mps2=0.0)
         rng = np.random.default_rng(11)
-        s = RigidState.hover(p0)
-        s.thrusts_n[:] = 0.0
-        s.velocity_mps[:] = rng.uniform(-1, 1, 3)
-        s.body_rates_radps[:] = rng.uniform(-2, 2, 3)
+        s = hover_state(p0)
+        s[17:21] = 0.0
+        s[3:6] = rng.uniform(-1, 1, 3)
+        s[10:13] = rng.uniform(-2, 2, 3)
         inertia = np.diag(p0.inertia_diag)
-        v0 = s.velocity_mps.copy()
-        ke0 = 0.5 * s.body_rates_radps @ inertia @ s.body_rates_radps
-        cmd = ActuatorCommand(np.zeros(4), np.zeros(4))
+        v0 = s[3:6].copy()
+        ke0 = 0.5 * s[10:13] @ inertia @ s[10:13]
         for _ in range(1000):
-            s = step(s, cmd, p0)
-        ke = 0.5 * s.body_rates_radps @ inertia @ s.body_rates_radps
-        cons_ok = (np.abs(s.velocity_mps - v0).max() < 1e-6
+            s = step_flat(s, np.zeros(4), np.zeros(4), p0)
+        ke = 0.5 * s[10:13] @ inertia @ s[10:13]
+        cons_ok = (np.abs(s[3:6] - v0).max() < 1e-6
                    and abs(ke - ke0) / ke0 < 1e-6)
 
         # Quadcopter-reduction oracle at zero tilt. The body wrench is read
@@ -293,16 +300,16 @@ class TestDynamicsProperties:
         inertia_diag = np.array(PARAMS.inertia_diag)
         worst = 0.0
         for _ in range(1000):
-            st = RigidState.hover(PARAMS)
-            st.thrusts_n[:] = rng.uniform(0, 15, 4)
-            st.orientation[:] = rng.standard_normal(4)
-            st.orientation /= np.linalg.norm(st.orientation)
-            f1, f2, f3, f4 = st.thrusts_n
+            st = hover_state(PARAMS)
+            st[17:21] = rng.uniform(0, 15, 4)
+            st[6:10] = rng.standard_normal(4)
+            st[6:10] /= np.linalg.norm(st[6:10])
+            f1, f2, f3, f4 = st[17:21]
             force_o = np.array([0.0, 0.0, f1 + f2 + f3 + f4])
             torque_o = np.array([l * (f2 - f4), l * (f3 - f1),
                                  k * (-f1 + f2 + f3 - f4)])
-            d = np.array(derivative(st.to_flat(), st.thrusts_n, np.zeros(4), PARAMS))
-            r = quat_to_rot(st.orientation)
+            d = np.array(derivative(st, st[17:21], np.zeros(4), PARAMS))
+            r = quat_to_rot(st[6:10])
             force = PARAMS.mass_kg * r.T @ (d[3:6] + [0.0, 0.0, PARAMS.gravity_mps2])
             torque = inertia_diag * d[10:13]
             worst = max(worst, np.abs(force - force_o).max(),
@@ -312,19 +319,19 @@ class TestDynamicsProperties:
         # RK4 order: halving dt cuts one-step error >= 8x.
         order_ok = True
         for _ in range(5):
-            st = RigidState.hover(PARAMS)
-            st.velocity_mps[:] = rng.uniform(-1, 1, 3)
-            st.body_rates_radps[:] = rng.uniform(-1, 1, 3)
-            st.tilt_angles_rad[:] = rng.uniform(-0.5, 0.5, 4)
+            st = hover_state(PARAMS)
+            st[3:6] = rng.uniform(-1, 1, 3)
+            st[10:13] = rng.uniform(-1, 1, 3)
+            st[13:17] = rng.uniform(-0.5, 0.5, 4)
             thrust = rng.uniform(2, 10, 4)
             rates = rng.uniform(-1, 1, 4)
 
-            def advance(dt, n, y0=st.to_flat()):
+            def advance(dt, n, y0=st):
                 pp = SimParams(dt_s=dt)
-                x = RigidState.from_flat(y0)
+                x = y0
                 for _ in range(n):
-                    x = step(x, ActuatorCommand(thrust, rates), pp)
-                return x.to_flat()
+                    x = step_flat(x, thrust, rates, pp)
+                return x
 
             ref = advance(0.01 / 100, 100)
             e_full = np.abs(advance(0.01, 1) - ref).max()
@@ -415,7 +422,7 @@ class TestUnitReproductions:
         env = HoverEnv(Platform.QUAD, PARAMS, EpisodeConfig(), RewardWeights(),
                        np.random.default_rng(0), EpisodeCounter(start=1_000))
         env.reset()
-        env.state = RigidState.hover(PARAMS, EpisodeConfig().target_position_m)
+        env.y = hover_state(PARAMS, EpisodeConfig().target_position_m)
         # Zero action holds the exact hover fixed point at the goal, so the
         # post-step reward must be exactly beta.
         _, rew, _ = env.step(np.zeros(4))
@@ -475,15 +482,23 @@ class TestDevelopmentalAdvantage:
 # --- 7. fault-tolerance ordering ---------------------------------------------
 
 class TestFaultTolerance:
-    def test_ablation_ordering(self, artifacts):
-        dev_actor = _actor(_final("dev", SEEDS[0]))
-        conv_actor = _actor(_final("conv", SEEDS[0]))
-        dev_counts, conv_counts = [], []
-        for n_faulty in (1, 2, 3, 4):
-            d, _ = run_fault_ablation(dev_actor, n_faulty, 100, PARAMS, seed=77)
-            c, _ = run_fault_ablation(conv_actor, n_faulty, 100, PARAMS, seed=77)
-            dev_counts.append(d)
-            conv_counts.append(c)
+    def test_ablation_ordering(self, artifacts, tmp_path):
+        # The eight cells run side by side as child `tiltrl eval` processes.
+        cells = [(kind, n_faulty) for kind in ("dev", "conv") for n_faulty in (1, 2, 3, 4)]
+
+        def successes(cell):
+            kind, n_faulty = cell
+            out = str(tmp_path / f"{kind}_{n_faulty}")
+            rc = _cli(["eval", _final(kind, SEEDS[0]), "--mode", "ablate",
+                       "--faulty", str(n_faulty), "--trials", "100", "--seed", "77",
+                       "--out", out])
+            assert rc == 0, f"ablation command failed: {cell}"
+            with open(os.path.join(out, "summary.csv")) as fh:
+                return sum(row["success"] == "1" for row in csv.DictReader(fh))
+
+        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+            counts = list(pool.map(successes, cells))
+        dev_counts, conv_counts = counts[:4], counts[4:]
         order_ok = all(dev_counts[i] >= conv_counts[i] for i in range(3))
         mono_ok = all(xs[i + 1] <= xs[i] + 5 for xs in (dev_counts, conv_counts)
                       for i in range(3))

@@ -205,6 +205,15 @@ class TestEval:
         assert trace[0] == TRACE_HEADER
         assert len(trace) > 100
 
+    def test_waypoint_quad_policy(self, tmp_path):
+        # The mission flies the quadcopter actor on its own platform.
+        quad = train_quad(tmp_path)
+        out = tmp_path / "ev"
+        rc = run(tmp_path, "eval", str(quad / "checkpoint_final.bin"),
+                 "--mode", "waypoint", "--out", str(out))
+        assert rc in (0, 2)
+        assert (out / "waypoint_trace.csv").read_text().startswith(TRACE_HEADER)
+
     def test_policy_mode_requires_checkpoint(self, tmp_path):
         rc = run(tmp_path, "eval", "--mode", "hover",
                  "--out", str(tmp_path / "ev"))
@@ -239,3 +248,21 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit) as e:
             main(["train-quad"])  # --out missing
         assert e.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train-quad", "--steps", "0"],
+        ["train-tilt", "--scratch", "--steps", "-5"],
+        ["eval", "x.bin", "--mode", "hover", "--trials", "0"],
+    ])
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert e.value.code == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_vector_length_error_exit_code(self, tmp_path, capsys):
+        rc = run(tmp_path, "train-quad", "--seed", "3", "--out", str(tmp_path / "o"),
+                 env={"TILTRL_THRUST_RANGE_N": "1"})
+        assert rc == 2
+        assert "thrust_range_n" in capsys.readouterr().err

@@ -18,14 +18,22 @@ class TestDefaults:
         assert load_config(None) == default_config()
 
     def test_schema_covers_every_field(self):
-        # Every dataclass field in every section must be settable from a file.
+        # Every dataclass field of every section is a line of the config
+        # file, in field order.
         cfg = default_config()
-        for section_name in ("sim", "episode", "rewards", "train", "pid"):
-            section = getattr(cfg, section_name)
-            fields = {f.name for f in dataclasses.fields(section)}
-            covered = {f for key, (s, f, _) in cfgmod.SCHEMA.items()
-                       if s == section_name}
-            assert covered == fields, section_name
+        fields = [f.name for name in ("sim", "episode", "rewards", "train", "pid")
+                  for f in dataclasses.fields(getattr(cfg, name))]
+        keys = [line.split(" = ")[0] for line in format_config(cfg).splitlines()]
+        assert keys == fields
+
+    def test_value_types_follow_defaults(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        write_config(default_config(), path)
+        cfg = load_config(str(path))
+        assert type(cfg.train.hidden_sizes[0]) is int
+        assert type(cfg.episode.max_steps) is int
+        assert type(cfg.sim.inertia_diag[0]) is float
+        assert type(cfg.sim.mass_kg) is float
 
 
 class TestRoundTrip:
@@ -74,6 +82,18 @@ class TestErrors:
         with pytest.raises(ConfigError, match="mass_kg"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("line", ["inertia_diag = 1, 2",
+                                      "thrust_range_n = 1",
+                                      "hidden_sizes = 16, 16, 16"])
+    def test_vector_length_named(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        text = "".join(l + "\n" for l in format_config(default_config()).splitlines()
+                       if not l.startswith(key + " "))
+        path = tmp_path / "run.cfg"
+        path.write_text(text + line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just some words\n")
@@ -89,6 +109,13 @@ class TestEnvOverride:
     def test_env_var_overrides_vector(self, monkeypatch):
         monkeypatch.setenv("TILTRL_HIDDEN_SIZES", "16, 16")
         assert load_config(None).train.hidden_sizes == (16, 16)
+
+    @pytest.mark.parametrize("var, raw", [("TILTRL_INERTIA_DIAG", "1, 2"),
+                                          ("TILTRL_THRUST_RANGE_N", "1")])
+    def test_env_var_vector_length_named(self, monkeypatch, var, raw):
+        monkeypatch.setenv(var, raw)
+        with pytest.raises(ConfigError, match=var[len("TILTRL_"):].lower()):
+            load_config(None)
 
     def test_env_var_bad_value(self, monkeypatch):
         monkeypatch.setenv("TILTRL_SEED", "not-an-int")

@@ -3,24 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from tiltrl.dynamics import (ActuatorCommand, NonFiniteError, RigidState,
-                             SimParams, derivative, euler_zyx,
-                             quat_from_euler_zyx, quat_to_rot, step)
+from tiltrl.dynamics import (NonFiniteError, SimParams, derivative, euler_zyx,
+                             hover_state, quat_from_euler_zyx, quat_to_rot,
+                             step_flat)
 
 PARAMS = SimParams()
 F_H = 1.5 * 9.81 / 4  # 3.67875 N
 
 
+HOVER_CMD = (np.full(4, F_H), np.zeros(4))   # thrust and tilt-rate commands
+IDLE_CMD = (np.zeros(4), np.zeros(4))
+
+
 def random_state(rng, tilt_scale=1.0, rate_scale=2.0):
+    """Flat state: position, velocity, unit quaternion, body rates, tilt
+    angles, thrusts."""
     q = rng.standard_normal(4)
-    return RigidState(
-        position_m=rng.uniform(-2, 2, 3),
-        velocity_mps=rng.uniform(-2, 2, 3),
-        orientation=q / np.linalg.norm(q),
-        body_rates_radps=rng.uniform(-rate_scale, rate_scale, 3),
-        tilt_angles_rad=rng.uniform(-math.pi / 3, math.pi / 3, 4) * tilt_scale,
-        thrusts_n=rng.uniform(0, 15, 4),
-    )
+    return np.concatenate([
+        rng.uniform(-2, 2, 3),
+        rng.uniform(-2, 2, 3),
+        q / np.linalg.norm(q),
+        rng.uniform(-rate_scale, rate_scale, 3),
+        rng.uniform(-math.pi / 3, math.pi / 3, 4) * tilt_scale,
+        rng.uniform(0, 15, 4),
+    ])
 
 
 class TestSimParams:
@@ -43,36 +49,29 @@ class TestSimParams:
             SimParams(**kwargs)
 
 
-def body_wrench(state, params):
+def body_wrench(y, params):
     """Body-frame force (gravity excluded) and torque read off the derivative
     at zero body rates, where the gyroscopic term vanishes:
     force = m R^T (a + g e_z), torque = I omega_dot."""
-    y = state.to_flat()
+    y = y.copy()
     y[10:13] = 0.0
-    d = np.array(derivative(y, state.thrusts_n, np.zeros(4), params))
-    r = quat_to_rot(state.orientation)
+    d = np.array(derivative(y, y[17:21], np.zeros(4), params))
+    r = quat_to_rot(y[6:10])
     force = params.mass_kg * r.T @ (d[3:6] + [0.0, 0.0, params.gravity_mps2])
     torque = np.array(params.inertia_diag) * d[10:13]
     return force, torque
 
 
-def state_derivative(state, cmd, params):
-    """derivative() of a RigidState, split back into its fields."""
-    d = np.array(derivative(state.to_flat(), cmd.thrust_cmd_n,
-                            cmd.tilt_rate_cmd_radps, params))
-    return RigidState.from_flat(d)
-
-
 class TestBodyWrench:
     def test_equal_thrusts_zero_tilt(self):
-        s = RigidState.hover(PARAMS)
+        s = hover_state(PARAMS)
         force, torque = body_wrench(s, PARAMS)
         np.testing.assert_allclose(force, [0, 0, 14.715], atol=1e-12)
         np.testing.assert_allclose(torque, [0, 0, 0], atol=1e-12)
 
     def test_single_tilt_force(self):
-        s = RigidState.hover(PARAMS)
-        s.tilt_angles_rad[1] = math.pi / 3
+        s = hover_state(PARAMS)
+        s[14] = math.pi / 3   # tilt of rotor 2
         force, _ = body_wrench(s, PARAMS)
         assert force[0] == pytest.approx(F_H * math.sin(math.pi / 3), abs=1e-9)
         assert force[0] == pytest.approx(3.18589, abs=1e-4)
@@ -81,14 +80,14 @@ class TestBodyWrench:
         assert force[2] == pytest.approx(12.8756, abs=1e-4)
 
     def test_differential_thrust_roll_torque(self):
-        s = RigidState.hover(PARAMS)
-        s.thrusts_n[:] = [F_H, 5.0, F_H, 2.0]
+        s = hover_state(PARAMS)
+        s[17:21] = [F_H, 5.0, F_H, 2.0]
         _, torque = body_wrench(s, PARAMS)
         assert torque[0] == pytest.approx(0.13 * 3.0, abs=1e-12)
 
     def test_yaw_moment_cancels_with_equal_thrusts(self):
-        s = RigidState.hover(PARAMS)
-        s.thrusts_n[:] = 7.3
+        s = hover_state(PARAMS)
+        s[17:21] = 7.3
         _, torque = body_wrench(s, PARAMS)
         assert torque[2] == 0.0
 
@@ -99,7 +98,7 @@ class TestBodyWrench:
         worst = 0.0
         for _ in range(1000):
             s = random_state(rng, tilt_scale=0.0)
-            f1, f2, f3, f4 = s.thrusts_n
+            f1, f2, f3, f4 = s[17:21]
             force_o = np.array([0.0, 0.0, f1 + f2 + f3 + f4])
             torque_o = np.array([l * (f2 - f4), l * (f3 - f1),
                                  k * (-f1 + f2 + f3 - f4)])
@@ -111,96 +110,88 @@ class TestBodyWrench:
 
 class TestDerivative:
     def test_hover_equilibrium(self):
-        s = RigidState.hover(PARAMS)
-        d = state_derivative(s, ActuatorCommand.hover(PARAMS), PARAMS)
-        for arr in (d.position_m, d.velocity_mps, d.orientation,
-                    d.body_rates_radps, d.tilt_angles_rad, d.thrusts_n):
-            np.testing.assert_allclose(arr, 0.0, atol=1e-13)
+        d = derivative(hover_state(PARAMS), *HOVER_CMD, PARAMS)
+        np.testing.assert_allclose(d, 0.0, atol=1e-13)
 
     def test_principal_axis_spin_no_gyroscopic_torque(self):
         p = SimParams(gravity_mps2=0.0)
-        s = RigidState.hover(p)
-        s.thrusts_n[:] = 0.0
-        s.body_rates_radps[:] = [1.0, 0.0, 0.0]
-        d = state_derivative(s, ActuatorCommand(np.zeros(4), np.zeros(4)), p)
-        np.testing.assert_allclose(d.body_rates_radps, 0.0, atol=1e-15)
+        s = hover_state(p)
+        s[17:21] = 0.0
+        s[10:13] = [1.0, 0.0, 0.0]
+        d = np.array(derivative(s, *IDLE_CMD, p))
+        np.testing.assert_allclose(d[10:13], 0.0, atol=1e-15)
 
     def test_motor_lag(self):
-        s = RigidState.hover(PARAMS)
-        s.thrusts_n[:] = 0.0
-        cmd = ActuatorCommand(np.full(4, 15.0), np.zeros(4))
-        d = state_derivative(s, cmd, PARAMS)
-        np.testing.assert_allclose(d.thrusts_n, 300.0, atol=1e-9)
+        s = hover_state(PARAMS)
+        s[17:21] = 0.0
+        d = np.array(derivative(s, np.full(4, 15.0), np.zeros(4), PARAMS))
+        np.testing.assert_allclose(d[17:21], 300.0, atol=1e-9)
 
     def test_tilt_rate_passthrough_and_limit(self):
-        s = RigidState.hover(PARAMS)
-        cmd = ActuatorCommand(np.full(4, F_H), np.array([0.5, -1.0, 0.0, 2.0]))
-        d = state_derivative(s, cmd, PARAMS)
-        np.testing.assert_allclose(d.tilt_angles_rad, cmd.tilt_rate_cmd_radps)
-        s.tilt_angles_rad[0] = PARAMS.tilt_angle_range_rad[1]
-        d = state_derivative(s, cmd, PARAMS)
-        assert d.tilt_angles_rad[0] == 0.0   # outward command at the limit
+        s = hover_state(PARAMS)
+        rates = np.array([0.5, -1.0, 0.0, 2.0])
+        d = np.array(derivative(s, np.full(4, F_H), rates, PARAMS))
+        np.testing.assert_allclose(d[13:17], rates)
+        s[13] = PARAMS.tilt_angle_range_rad[1]
+        d = derivative(s, np.full(4, F_H), rates, PARAMS)
+        assert d[13] == 0.0   # outward command at the limit
 
 
 class TestStep:
     def test_hover_is_fixed_point(self):
-        s = RigidState.hover(PARAMS)
-        s2 = step(s, ActuatorCommand.hover(PARAMS), PARAMS)
-        np.testing.assert_allclose(s2.to_flat(), s.to_flat(), atol=1e-10)
+        s = hover_state(PARAMS)
+        np.testing.assert_allclose(step_flat(s, *HOVER_CMD, PARAMS), s, atol=1e-10)
 
     def test_free_fall_ballistics(self):
-        s = RigidState.hover(PARAMS)
-        s.thrusts_n[:] = 0.0
-        cmd = ActuatorCommand(np.zeros(4), np.zeros(4))
+        s = hover_state(PARAMS)
+        s[17:21] = 0.0
         for _ in range(100):
-            s = step(s, cmd, PARAMS)
-        assert s.velocity_mps[2] == pytest.approx(-9.81, abs=1e-6)
-        assert s.position_m[2] == pytest.approx(-4.905, abs=1e-4)
+            s = step_flat(s, *IDLE_CMD, PARAMS)
+        assert s[5] == pytest.approx(-9.81, abs=1e-6)    # vertical velocity
+        assert s[2] == pytest.approx(-4.905, abs=1e-4)   # altitude
 
     def test_tilt_clamped_at_limit(self):
-        s = RigidState.hover(PARAMS)
-        s.tilt_angles_rad[0] = PARAMS.tilt_angle_range_rad[1]
-        cmd = ActuatorCommand(np.full(4, F_H), np.array([3.0, 0, 0, 0]))
-        s2 = step(s, cmd, PARAMS)
-        assert s2.tilt_angles_rad[0] == PARAMS.tilt_angle_range_rad[1]
+        s = hover_state(PARAMS)
+        s[13] = PARAMS.tilt_angle_range_rad[1]
+        s2 = step_flat(s, np.full(4, F_H), np.array([3.0, 0, 0, 0]), PARAMS)
+        assert s2[13] == PARAMS.tilt_angle_range_rad[1]
 
     def test_quaternion_renormalized(self):
         rng = np.random.default_rng(3)
         s = random_state(rng)
-        cmd = ActuatorCommand(rng.uniform(0, 15, 4), rng.uniform(-3, 3, 4))
+        thrust, rates = rng.uniform(0, 15, 4), rng.uniform(-3, 3, 4)
         for _ in range(50):
-            s = step(s, cmd, PARAMS)
-        assert abs(np.linalg.norm(s.orientation) - 1.0) < 1e-9
-        r = quat_to_rot(s.orientation)
+            s = step_flat(s, thrust, rates, PARAMS)
+        assert abs(np.linalg.norm(s[6:10]) - 1.0) < 1e-9
+        r = quat_to_rot(s[6:10])
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-9)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
 
     def test_nonfinite_raises(self):
-        s = RigidState.hover(PARAMS)
-        s.velocity_mps[0] = math.inf
+        s = hover_state(PARAMS)
+        s[3] = math.inf
         with pytest.raises(NonFiniteError):
-            step(s, ActuatorCommand.hover(PARAMS), PARAMS)
+            step_flat(s, *HOVER_CMD, PARAMS)
 
     def test_conservation_torque_free(self):
         # No thrust, no gravity: momentum constant, rotational KE conserved.
         p = SimParams(gravity_mps2=0.0)
         rng = np.random.default_rng(11)
-        s = RigidState.hover(p)
-        s.thrusts_n[:] = 0.0
-        s.velocity_mps[:] = rng.uniform(-1, 1, 3)
-        s.body_rates_radps[:] = rng.uniform(-2, 2, 3)
-        cmd = ActuatorCommand(np.zeros(4), np.zeros(4))
+        s = hover_state(p)
+        s[17:21] = 0.0
+        s[3:6] = rng.uniform(-1, 1, 3)
+        s[10:13] = rng.uniform(-2, 2, 3)
         inertia = np.diag(p.inertia_diag)
 
-        def rot_ke(state):
-            w = state.body_rates_radps
+        def rot_ke(y):
+            w = y[10:13]
             return 0.5 * w @ inertia @ w
 
-        v0 = s.velocity_mps.copy()
+        v0 = s[3:6].copy()
         ke0 = rot_ke(s)
         for _ in range(1000):   # 10 s
-            s = step(s, cmd, p)
-        np.testing.assert_allclose(s.velocity_mps, v0, rtol=1e-6, atol=1e-9)
+            s = step_flat(s, *IDLE_CMD, p)
+        np.testing.assert_allclose(s[3:6], v0, rtol=1e-6, atol=1e-9)
         assert abs(rot_ke(s) - ke0) / ke0 < 1e-6
 
     def test_rk4_order(self):
@@ -210,14 +201,13 @@ class TestStep:
             s = random_state(rng, tilt_scale=0.5, rate_scale=1.0)
             thrust = rng.uniform(2, 10, 4)
             rates = rng.uniform(-1, 1, 4)
-            cmd = ActuatorCommand(thrust, rates)
 
             def advance(dt, n):
                 p = SimParams(dt_s=dt)
-                st = RigidState.from_flat(s.to_flat())
+                st = s
                 for _ in range(n):
-                    st = step(st, cmd, p)
-                return st.to_flat()
+                    st = step_flat(st, thrust, rates, p)
+                return st
 
             ref = advance(0.01 / 100, 100)
             e_full = np.abs(advance(0.01, 1) - ref).max()

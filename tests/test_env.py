@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltrl.dynamics import (RigidState, SimParams, euler_zyx,
+from tiltrl.dynamics import (SimParams, euler_zyx, hover_state,
                              quat_from_euler_zyx, quat_to_rot)
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
                         RewardWeights, TermStatus, actuator_command,
@@ -21,14 +21,10 @@ def make_env(platform=Platform.QUAD, seed=0, cfg=CFG):
     return HoverEnv(platform, PARAMS, cfg, WEIGHTS, np.random.default_rng(seed))
 
 
-def observe(state, target, platform):
-    return observation(state.to_flat(), target, platform)
-
-
 class TestObserve:
     def test_at_target_level_rest(self):
-        s = RigidState.hover(PARAMS, position=CFG.target_position_m)
-        obs = observe(s, CFG.target_position_m, Platform.TILT_ROTOR)
+        s = hover_state(PARAMS, position=CFG.target_position_m)
+        obs = observation(s, CFG.target_position_m, Platform.TILT_ROTOR)
         np.testing.assert_allclose(obs[0:3], 0.0)      # position error
         np.testing.assert_allclose(obs[3:6], 0.0)      # velocity error
         np.testing.assert_allclose(obs[15:18], 0.0)    # body-rate error
@@ -36,15 +32,15 @@ class TestObserve:
         np.testing.assert_allclose(obs[6:15], np.eye(3).reshape(9))
 
     def test_position_error_convention(self):
-        s = RigidState.hover(PARAMS, position=(1.0, 2.0, 3.0))
-        obs = observe(s, (0.0, 0.0, 5.0), Platform.QUAD)
+        s = hover_state(PARAMS, position=(1.0, 2.0, 3.0))
+        obs = observation(s, (0.0, 0.0, 5.0), Platform.QUAD)
         np.testing.assert_allclose(obs[0:3], [1.0, 2.0, -2.0])
 
     def test_dimensions(self):
-        s = RigidState.hover(PARAMS)
+        s = hover_state(PARAMS)
         # The quadcopter observation has no tilt-error block.
-        assert observe(s, CFG.target_position_m, Platform.QUAD).shape == (18,)
-        assert observe(s, CFG.target_position_m, Platform.TILT_ROTOR).shape == (22,)
+        assert observation(s, CFG.target_position_m, Platform.QUAD).shape == (18,)
+        assert observation(s, CFG.target_position_m, Platform.TILT_ROTOR).shape == (22,)
 
     def test_dimension_constant_over_episode(self):
         for platform in Platform:
@@ -103,8 +99,8 @@ class TestActionScaling:
 
 class TestReward:
     def zero_obs(self, platform):
-        s = RigidState.hover(PARAMS, position=CFG.target_position_m)
-        return observe(s, CFG.target_position_m, platform)
+        s = hover_state(PARAMS, position=CFG.target_position_m)
+        return observation(s, CFG.target_position_m, platform)
 
     def test_at_goal_zero_action(self):
         obs = self.zero_obs(Platform.QUAD)
@@ -142,15 +138,15 @@ class TestReward:
 
     def test_yaw_invariance(self):
         rng = np.random.default_rng(4)
-        s = RigidState.hover(PARAMS, position=(0.4, -0.2, 5.3))
-        s.orientation = quat_from_euler_zyx(0.2, -0.3, 0.7)
-        s.velocity_mps[:] = rng.uniform(-1, 1, 3)
-        obs = observe(s, CFG.target_position_m, Platform.QUAD)
+        s = hover_state(PARAMS, position=(0.4, -0.2, 5.3))
+        s[6:10] = quat_from_euler_zyx(0.2, -0.3, 0.7)
+        s[3:6] = rng.uniform(-1, 1, 3)
+        obs = observation(s, CFG.target_position_m, Platform.QUAD)
         r0 = reward(obs, np.zeros(4), WEIGHTS)
         for dyaw in (0.5, 1.5, 3.0):
-            s2 = RigidState.from_flat(s.to_flat())
-            s2.orientation = quat_from_euler_zyx(0.2, -0.3, 0.7 + dyaw)
-            obs2 = observe(s2, CFG.target_position_m, Platform.QUAD)
+            s2 = s.copy()
+            s2[6:10] = quat_from_euler_zyx(0.2, -0.3, 0.7 + dyaw)
+            obs2 = observation(s2, CFG.target_position_m, Platform.QUAD)
             r1 = reward(obs2, np.zeros(4), WEIGHTS)
             assert r1 == pytest.approx(r0, abs=1e-12)
 
@@ -162,13 +158,13 @@ class TestReset:
         found_inverted = False
         for _ in range(300):
             s = reset_state(rng, CFG, 0, PARAMS)
-            roll, pitch, yaw = euler_zyx(s.orientation)
+            roll, pitch, yaw = euler_zyx(s[6:10])
             if abs(roll) > 2.8:
                 found_inverted = True
         assert found_inverted
         for _ in range(300):
             s = reset_state(rng, CFG, 600, PARAMS)
-            roll, pitch, yaw = euler_zyx(s.orientation)
+            roll, pitch, yaw = euler_zyx(s[6:10])
             bound = CFG.euler_init_range_rad + 1e-9
             assert abs(roll) <= bound and abs(pitch) <= bound and abs(yaw) <= bound
 
@@ -179,11 +175,12 @@ class TestReset:
         for ep in (0, 600):
             for _ in range(500):
                 s = reset_state(rng, CFG, ep, PARAMS)
-                assert np.all(s.position_m >= lo) and np.all(s.position_m <= hi)
-                assert np.linalg.norm(s.velocity_mps) <= 1.0 + 1e-12
-                assert np.linalg.norm(s.body_rates_radps) <= 1.0 + 1e-12
-                np.testing.assert_allclose(s.tilt_angles_rad, 0.0)
-                np.testing.assert_allclose(s.thrusts_n, PARAMS.hover_thrust_n)
+                assert s.shape == (21,)
+                assert np.all(s[0:3] >= lo) and np.all(s[0:3] <= hi)
+                assert np.linalg.norm(s[3:6]) <= 1.0 + 1e-12
+                assert np.linalg.norm(s[10:13]) <= 1.0 + 1e-12
+                np.testing.assert_allclose(s[13:17], 0.0)
+                np.testing.assert_allclose(s[17:21], PARAMS.hover_thrust_n)
 
     def test_so3_mean_rotation_angle(self):
         # Brute-force oracle: mean angle of uniform SO(3) by numeric
@@ -201,27 +198,23 @@ class TestReset:
         assert abs(angles.mean() - oracle) < 0.02
 
 
-def terminated(state, t, cfg):
-    return termination(state.to_flat(), t, cfg)
-
-
 class TestTerminated:
     def test_max_steps(self):
-        s = RigidState.hover(PARAMS, position=CFG.target_position_m)
-        assert terminated(s, 1500, CFG) is TermStatus.MAX_STEPS
+        s = hover_state(PARAMS, position=CFG.target_position_m)
+        assert termination(s, 1500, CFG) is TermStatus.MAX_STEPS
 
     def test_out_of_bounds(self):
-        s = RigidState.hover(PARAMS, position=(0, 0, 7.0))
-        assert terminated(s, 10, CFG) is TermStatus.OUT_OF_BOUNDS
+        s = hover_state(PARAMS, position=(0, 0, 7.0))
+        assert termination(s, 10, CFG) is TermStatus.OUT_OF_BOUNDS
 
     def test_running(self):
-        s = RigidState.hover(PARAMS, position=CFG.target_position_m)
-        assert terminated(s, 10, CFG) is TermStatus.RUNNING
+        s = hover_state(PARAMS, position=CFG.target_position_m)
+        assert termination(s, 10, CFG) is TermStatus.RUNNING
 
     def test_diverged(self):
-        s = RigidState.hover(PARAMS)
-        s.position_m[0] = math.nan
-        assert terminated(s, 10, CFG) is TermStatus.DIVERGED
+        s = hover_state(PARAMS)
+        s[0] = math.nan
+        assert termination(s, 10, CFG) is TermStatus.DIVERGED
 
 
 class TestHoverEnv:
@@ -251,7 +244,7 @@ class TestHoverEnv:
         for t in range(5):
             a = np.zeros(8)
             _, r, _ = env.step(a)
-            rows.append(trace_row(t, env.state.to_flat(), a, r))
+            rows.append(trace_row(t, env.y, a, r))
         path = tmp_path / "trace.csv"
         write_trace(path, rows)
         lines = path.read_text().strip().split("\n")

@@ -3,7 +3,7 @@ import pytest
 
 import tiltrl.neuralnet as nn
 from tiltrl import evalsuite as ev
-from tiltrl.dynamics import RigidState, SimParams, quat_from_euler_zyx
+from tiltrl.dynamics import SimParams, hover_state, quat_from_euler_zyx
 from tiltrl.env import TRACE_HEADER, Platform
 
 
@@ -18,21 +18,20 @@ def zero_actor(platform=Platform.TILT_ROTOR):
 
 def pid_command(target, p):
     """_run_to_goal command function: the PID baseline, zero action vector."""
-    return lambda y, t: (ev.pid_controller(RigidState.from_flat(y), target,
-                                           ev.PidGains(), p), np.zeros(4))
+    return lambda y, t: (ev.pid_controller(y, target, ev.PidGains(), p), np.zeros(4))
 
 
 class TestPidController:
     def test_hover_equilibrium(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 3.0))
+        st = hover_state(p, (0.0, 0.0, 3.0))
         cmd = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
         np.testing.assert_allclose(cmd.thrust_cmd_n, p.hover_thrust_n, atol=1e-12)
         np.testing.assert_allclose(cmd.tilt_rate_cmd_radps, 0.0, atol=1e-12)
 
     def test_below_target_commands_more_thrust(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 2.0))
+        st = hover_state(p, (0.0, 0.0, 2.0))
         cmd = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
         assert np.all(cmd.thrust_cmd_n > p.hover_thrust_n)
         # Symmetric demand: all four rotors equal.
@@ -40,8 +39,8 @@ class TestPidController:
 
     def test_tilt_rates_oppose_tilt(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 3.0))
-        st.tilt_angles_rad[:] = [0.2, -0.1, 0.0, 0.3]
+        st = hover_state(p, (0.0, 0.0, 3.0))
+        st[13:17] = [0.2, -0.1, 0.0, 0.3]
         cmd = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
         assert cmd.tilt_rate_cmd_radps[0] < 0
         assert cmd.tilt_rate_cmd_radps[1] > 0
@@ -50,51 +49,51 @@ class TestPidController:
 
     def test_thrust_clamped_to_range(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 0.0))
-        st.velocity_mps[:] = [0.0, 0.0, -20.0]
+        st = hover_state(p, (0.0, 0.0, 0.0))
+        st[3:6] = [0.0, 0.0, -20.0]
         cmd = ev.pid_controller(st, (0.0, 0.0, 50.0), ev.PidGains(), p)
         lo, hi = p.thrust_range_n
         assert np.all(cmd.thrust_cmd_n >= lo) and np.all(cmd.thrust_cmd_n <= hi)
 
     def test_x_step_response_settles(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 3.0))
+        st = hover_state(p, (0.0, 0.0, 3.0))
         final, ok, steps, _ = ev._run_to_goal(
-            pid_command((1.0, 0.0, 3.0), p), st.to_flat(), (1.0, 0.0, 3.0), p,
+            pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p,
             max_steps=1500, tolerance=0.1)
         assert ok and 0 < steps < 1500
 
     def test_attitude_recovery_from_roll(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 3.0))
-        st.orientation[:] = quat_from_euler_zyx(0.3, 0.0, 0.0)
+        st = hover_state(p, (0.0, 0.0, 3.0))
+        st[6:10] = quat_from_euler_zyx(0.3, 0.0, 0.0)
         final, ok, steps, _ = ev._run_to_goal(
-            pid_command((0.0, 0.0, 3.0), p), st.to_flat(), (0.0, 0.0, 3.0), p)
+            pid_command((0.0, 0.0, 3.0), p), st, (0.0, 0.0, 3.0), p)
         assert ok
 
 
 class TestRunToGoal:
     def test_immediate_success_at_target(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 3.0))
+        st = hover_state(p, (0.0, 0.0, 3.0))
         _, ok, steps, _ = ev._run_to_goal(
-            pid_command((0.0, 0.0, 3.0), p), st.to_flat(), (0.0, 0.0, 3.0), p)
+            pid_command((0.0, 0.0, 3.0), p), st, (0.0, 0.0, 3.0), p)
         assert ok and steps == 0
 
     def test_stops_at_reach(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 3.0))
+        st = hover_state(p, (0.0, 0.0, 3.0))
         _, ok, steps, rows = ev._run_to_goal(
-            pid_command((1.0, 0.0, 3.0), p), st.to_flat(), (1.0, 0.0, 3.0), p,
+            pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p,
             record_trace=True)
         assert ok
         assert len(rows) == steps
 
     def test_budget_exhaustion_fails(self):
         p = SimParams()
-        st = RigidState.hover(p, (0.0, 0.0, 3.0))
+        st = hover_state(p, (0.0, 0.0, 3.0))
         _, ok, steps, _ = ev._run_to_goal(
-            pid_command((100.0, 0.0, 3.0), p), st.to_flat(), (100.0, 0.0, 3.0), p, max_steps=50)
+            pid_command((100.0, 0.0, 3.0), p), st, (100.0, 0.0, 3.0), p, max_steps=50)
         assert not ok and steps == -1
 
 
@@ -128,6 +127,19 @@ class TestHoverEval:
             assert lines[0] == TRACE_HEADER
             assert len(lines) > 1
             assert all(len(row.split(",")) == n_cols for row in lines)
+
+
+class TestActorPlatform:
+    def test_platform_from_input_width(self):
+        assert ev.actor_platform(zero_actor(Platform.QUAD)) is Platform.QUAD
+        assert ev.actor_platform(zero_actor()) is Platform.TILT_ROTOR
+
+    def test_other_width_rejected(self):
+        actor = nn.make_mlp([10, 8, 4], np.random.default_rng(0))
+        with pytest.raises(nn.ShapeMismatchError, match="10"):
+            ev.actor_platform(actor)
+        with pytest.raises(nn.ShapeMismatchError):
+            ev.run_waypoint_mission(actor, ev.default_square_mission(), SimParams())
 
 
 class TestFaultAblation:

@@ -1,9 +1,17 @@
+import builtins
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import tiltrl.neuralnet as nn
+from tiltrl import cli
+from tiltrl.config import default_config, write_config
+from tiltrl.env import write_trace
+from tiltrl.evalsuite import TrialResult
+from tiltrl.ppo import TrainConfig
+from tiltrl.transfer import TransferReport
 from tiltrl.neuralnet import (AdamState, DimensionMismatchError, Mlp,
                               adam_step, forward, gaussian_log_prob, gradients,
                               load_checkpoint, make_mlp, save_checkpoint,
@@ -307,6 +315,48 @@ class TestDeterminism:
             assert wa.tobytes() == wb.tobytes()
 
 
+class _DiskFullFile:
+    """A file open for writing whose first write lands, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data)
+        raise OSError("disk full")
+
+
+def _report(version):
+    report = TransferReport()
+    report.add("layer0", "fresh_xavier", version)
+    return report
+
+
+_NET = make_mlp([3, 4, 2], np.random.default_rng(0))
+_TRIAL = TrialResult(trial=0, seed=7, success=True, steps_to_reach=1, final_error_m=0.1,
+                     final_euler_rad=(0.0, 0.0, 0.0), final_tilt_rad=(0.0,) * 4)
+
+# name -> write(dir, version): each writes its artifact(s) into dir, with
+# contents that depend on version.
+ARTIFACT_WRITERS = {
+    "checkpoint": lambda d, v: save_checkpoint(d / "ckpt.bin", {"actor": (_NET, None)},
+                                               seed=1, train_step=v),
+    "config": lambda d, v: write_config(dataclasses.replace(
+        default_config(), train=TrainConfig(seed=v)), d / "run.cfg"),
+    "manifest": lambda d, v: cli.write_manifest(str(d), "quad", v, default_config(), {}),
+    "summary": lambda d, v: cli._write_summary(str(d), [_TRIAL], v),
+    "trace": lambda d, v: write_trace(d / "trace.csv", [f"{v},0.5"]),
+    "transfer_reports": lambda d, v: cli._write_transfer_reports(str(d), _report(v),
+                                                                 _report(v)),
+}
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -342,21 +392,24 @@ class TestCheckpoint:
                                 "critic": nets["critic"]}, seed, train_step)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_interrupted_write_keeps_old_file(self, tmp_path, monkeypatch):
-        net = make_mlp([3, 4, 2], np.random.default_rng(0))
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, {"actor": (net, None)}, seed=1, train_step=2)
-        before = path.read_bytes()
+    @pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+    def test_interrupted_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        # The disk fills during the rewrite: every file keeps its old bytes
+        # and no temporary file is left behind.
+        write = ARTIFACT_WRITERS[writer]
+        write(tmp_path, 1)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        real_open = open
 
-        def pack_then_fail(fh, *args):
-            fh.write(b"partial")
-            raise OSError("disk full")
+        def open_failing(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _DiskFullFile(fh) if "w" in mode else fh
 
-        monkeypatch.setattr(nn, "_pack_net", pack_then_fail)
+        monkeypatch.setattr(builtins, "open", open_failing)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, {"actor": (net, None)}, seed=1, train_step=3)
-        assert path.read_bytes() == before
-        assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
+            write(tmp_path, 2)
+        monkeypatch.undo()
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -72,12 +72,12 @@ class FixedRewardEnv:
     act_dim = 2
 
     def __init__(self):
-        self.state = None
+        self.y = None
         self.t = 0
         self.n_resets = 0
 
     def reset(self):
-        self.state = object()
+        self.y = np.zeros(21)
         self.t = 0
         self.n_resets += 1
         return self.observe()
