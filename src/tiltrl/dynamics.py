@@ -86,14 +86,19 @@ class ActuatorCommand:
     tilt_rate_cmd_radps: np.ndarray  # (4,)
 
 
+def rot_entries(w, x, y, z) -> list:
+    """Row-major entries of the rotation matrix (body->world) of the unit
+    quaternion (w, x, y, z), in scalar math."""
+    return [
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]
+
+
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     """Rotation matrix (body->world) from unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return np.array(rot_entries(*q)).reshape(3, 3)
 
 
 def quat_from_euler_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -109,28 +114,29 @@ def quat_from_euler_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
     ])
 
 
-def euler_zyx(orientation: np.ndarray) -> tuple[float, float, float]:
+def euler_zyx(orientation) -> tuple[float, float, float]:
     """Z-Y-X Euler angles (roll, pitch, yaw) of a unit quaternion.
 
     Pitch lies in [-pi/2, pi/2]. Near the gimbal-lock singularity
     (|pitch| within 1e-6 of pi/2) yaw is defined as 0 and roll absorbs
     the remaining rotation about the vertical.
     """
-    return _euler_from_rot(quat_to_rot(orientation))
+    return _euler_from_rot(rot_entries(*orientation))
 
 
-def _euler_from_rot(r: np.ndarray) -> tuple[float, float, float]:
-    s = -r[2, 0]
+def _euler_from_rot(r) -> tuple[float, float, float]:
+    """Euler angles of the rotation matrix given by its 9 row-major entries."""
+    s = -r[6]
     s = min(1.0, max(-1.0, s))
     pitch = math.asin(s)
     if abs(abs(pitch) - math.pi / 2) < 1e-6:
         if pitch > 0:
-            roll = math.atan2(r[0, 1], r[0, 2])
+            roll = math.atan2(r[1], r[2])
         else:
-            roll = math.atan2(-r[0, 1], -r[0, 2])
+            roll = math.atan2(-r[1], -r[2])
         return roll, pitch, 0.0
-    roll = math.atan2(r[2, 1], r[2, 2])
-    yaw = math.atan2(r[1, 0], r[0, 0])
+    roll = math.atan2(r[7], r[8])
+    yaw = math.atan2(r[3], r[0])
     return roll, pitch, yaw
 
 
@@ -247,8 +253,14 @@ def step_flat(y: np.ndarray, thrust_cmd, tilt_cmd, params: SimParams) -> np.ndar
     out[9] /= n
     tlo, thi = params.tilt_angle_range_rad
     flo, fhi = params.thrust_range_n
+    # Each clamp is min(hi, max(lo, v)) written out: the same result, the
+    # sign of a zero included, without two builtin calls per entry.
     for i in range(13, 17):
-        out[i] = min(thi, max(tlo, out[i]))
+        v = out[i]
+        v = v if v > tlo else tlo
+        out[i] = v if v < thi else thi
     for i in range(17, 21):
-        out[i] = min(fhi, max(flo, out[i]))
+        v = out[i]
+        v = v if v > flo else flo
+        out[i] = v if v < fhi else fhi
     return np.array(out)

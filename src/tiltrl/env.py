@@ -25,7 +25,7 @@ from .dynamics import (
     _euler_from_rot,
     euler_zyx,
     quat_from_euler_zyx,
-    quat_to_rot,
+    rot_entries,
     step_flat,
     NonFiniteError,
 )
@@ -95,29 +95,34 @@ def actuator_command(action: np.ndarray, platform: Platform,
     Thrusts are centered at hover and clamped to their range; tilt rates
     span the servo range on the tilt-rotor and are zero on the quadcopter.
     Returns (clamped action, command)."""
-    a = np.clip(action, -1.0, 1.0)
+    # ndarray.clip is np.clip without its dispatch wrapper: same ufunc, same
+    # bits. The thrust clamp returns what np.clip returns, NaN and signed
+    # zeros included: v itself unless it lies strictly outside the range.
+    a = np.asarray(action).clip(-1.0, 1.0)
+    al = a.tolist()
     flo, fhi = params.thrust_range_n
-    thrust = np.clip(params.hover_thrust_n + a[:4] * (fhi - flo) / 2.0, flo, fhi)
+    hover = params.hover_thrust_n
+    thrust = [hover + v * (fhi - flo) / 2.0 for v in al[:4]]
+    thrust = [flo if v < flo else fhi if v > fhi else v for v in thrust]
     if platform is Platform.TILT_ROTOR:
         rlo, rhi = params.tilt_rate_range_radps
-        rates = a[4:8] * (rhi - rlo) / 2.0
+        rates = [v * (rhi - rlo) / 2.0 for v in al[4:8]]
     else:
-        rates = np.zeros(4)
-    return a, ActuatorCommand(thrust, rates)
+        rates = [0.0] * 4
+    return a, ActuatorCommand(np.array(thrust), np.array(rates))
 
 
 def observation(y: np.ndarray, target, platform: Platform) -> np.ndarray:
     """Error observation of the flat state: position error, velocity,
     row-major body->world rotation, body rates and, on the tilt-rotor, tilt
     angles. Desired velocity, rates and tilts are all zero."""
-    obs = np.empty(platform.obs_dim)
-    obs[0:3] = y[0:3] - target
-    obs[3:6] = y[3:6]
-    obs[6:15] = quat_to_rot(y[6:10]).reshape(9)
-    obs[15:18] = y[10:13]
+    yl = y.tolist()
+    tx, ty, tz = target
+    obs = [yl[0] - tx, yl[1] - ty, yl[2] - tz, yl[3], yl[4], yl[5],
+           *rot_entries(*yl[6:10]), yl[10], yl[11], yl[12]]
     if platform is Platform.TILT_ROTOR:
-        obs[18:22] = y[13:17]
-    return obs
+        obs += yl[13:17]
+    return np.array(obs)
 
 
 def reward(obs: np.ndarray, a: np.ndarray, weights: RewardWeights) -> float:
@@ -125,7 +130,7 @@ def reward(obs: np.ndarray, a: np.ndarray, weights: RewardWeights) -> float:
     the action. Roll and pitch come from the observation's rotation block;
     yaw is never penalized. Tilt errors exist on the tilt-rotor only."""
     e_p, e_v, e_omega, e_tilt = obs[0:3], obs[3:6], obs[15:18], obs[18:]
-    roll, pitch, _ = _euler_from_rot(obs[6:15].reshape(3, 3))
+    roll, pitch, _ = _euler_from_rot(obs[6:15].tolist())
     w = weights
     r = (w.beta
          - w.alpha_a * math.sqrt(float(a @ a))
@@ -218,7 +223,7 @@ class HoverEnv:
         self.counter = counter if counter is not None else EpisodeCounter()
         self.y: np.ndarray | None = None
         self.t = 0
-        self._target = np.asarray(cfg.target_position_m, dtype=float)
+        self._target = tuple(map(float, cfg.target_position_m))
 
     @property
     def obs_dim(self) -> int:
@@ -255,13 +260,16 @@ TRACE_HEADER = ("t,x,y,z,vx,vy,vz,roll,pitch,yaw,p,q,r,"
                 "a1,a2,a3,a4,a5,a6,a7,a8,reward")
 
 
+_TRACE_ROW = "%d," + ",".join(["%.9g"] * (len(TRACE_HEADER.split(",")) - 1))
+
+
 def trace_row(t: int, y: np.ndarray, action: np.ndarray, rew: float) -> str:
     """One CSV row of the episode trace schema for the flat state y
     (actions padded to 8)."""
-    a = np.zeros(8)
-    a[:len(action)] = action
-    vals = [*y[0:6].tolist(), *euler_zyx(y[6:10]), *y[10:21].tolist(), *a.tolist(), rew]
-    return f"{t}," + ",".join(f"{v:.9g}" for v in vals)
+    yl = y.tolist()
+    a = np.asarray(action, dtype=float).tolist()
+    return _TRACE_ROW % (t, *yl[0:6], *euler_zyx(yl[6:10]), *yl[10:21],
+                         *a, *[0.0] * (8 - len(a)), rew)
 
 
 def write_trace(path, rows: list[str]) -> None:

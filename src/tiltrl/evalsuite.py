@@ -74,8 +74,18 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     command_fn(y, t) -> (ActuatorCommand, action_vector). Returns
     (flat state, success, steps_to_reach, rows)."""
     target = np.asarray(target, dtype=float)
+    tx, ty, tz = target.tolist()
+    # A squared distance beyond this band has no norm within the tolerance,
+    # so np.linalg.norm, which decides, runs only inside it.
+    band = (tolerance * (1 + 1e-9)) ** 2
+
+    def reached(y):
+        px, py, pz = y[0:3].tolist()
+        d2 = (px - tx) * (px - tx) + (py - ty) * (py - ty) + (pz - tz) * (pz - tz)
+        return d2 <= band and np.linalg.norm(y[0:3] - target) <= tolerance
+
     rows: list[str] = []
-    if np.linalg.norm(y[0:3] - target) <= tolerance:
+    if reached(y):
         return y, True, 0, rows
     for t in range(max_steps):
         cmd, action = command_fn(y, t)
@@ -85,7 +95,7 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
             return y, False, -1, rows
         if record_trace:
             rows.append(trace_row(t + 1, y, action, 0.0))
-        if np.linalg.norm(y[0:3] - target) <= tolerance:
+        if reached(y):
             return y, True, t + 1, rows
     return y, False, -1, rows
 
@@ -193,38 +203,47 @@ def pid_controller(y: np.ndarray, target, gains: PidGains,
     """Cascaded PID on the flat state y: position error -> desired
     acceleration -> desired attitude + collective thrust; attitude PD ->
     torques -> plus-config mixing; tilt rates regulate tilt angles to zero."""
-    target = np.asarray(target, dtype=float)
     g = params.gravity_mps2
     m = params.mass_kg
     l = params.arm_length_m
     k = params.moment_ratio_m
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y[0:13].tolist()
+    x_t, y_t, z_t = np.asarray(target, dtype=float).tolist()
 
-    a_des = gains.kp_pos * (target - y[0:3]) - gains.kd_pos * y[3:6]
-    a_norm = np.linalg.norm(a_des[:2])
+    ax = gains.kp_pos * (x_t - px) - gains.kd_pos * vx
+    ay = gains.kp_pos * (y_t - py) - gains.kd_pos * vy
+    az = gains.kp_pos * (z_t - pz) - gains.kd_pos * vz
+    a_norm = np.linalg.norm(np.array([ax, ay]))
     if a_norm > gains.max_tilt_accel:
-        a_des[:2] *= gains.max_tilt_accel / a_norm
-    a_des[2] += g
+        s = gains.max_tilt_accel / a_norm
+        ax *= s
+        ay *= s
+    az += g
+    a_des = np.array([ax, ay, az])
 
-    r = quat_to_rot(y[6:10])
+    r = quat_to_rot((qw, qx, qy, qz))
     # Desired body z aligned with the acceleration demand; yaw kept current.
-    z_des = a_des / max(np.linalg.norm(a_des), 1e-9)
+    n = max(np.linalg.norm(a_des), 1e-9)
+    z0, z1, z2 = ax / n, ay / n, az / n
     yaw = math.atan2(r[1, 0], r[0, 0])
-    x_c = np.array([math.cos(yaw), math.sin(yaw), 0.0])
-    y_des = np.cross(z_des, x_c)
-    y_des /= max(np.linalg.norm(y_des), 1e-9)
-    x_des = np.cross(y_des, z_des)
-    r_des = np.column_stack([x_des, y_des, z_des])
+    c0, c1, c2 = math.cos(yaw), math.sin(yaw), 0.0
+    # y_des = z_des x c and x_des = y_des x z_des, in np.cross's operation order.
+    y0, y1, y2 = z1 * c2 - z2 * c1, z2 * c0 - z0 * c2, z0 * c1 - z1 * c0
+    n = max(np.linalg.norm(np.array([y0, y1, y2])), 1e-9)
+    y0, y1, y2 = y0 / n, y1 / n, y2 / n
+    x0, x1, x2 = y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0
+    r_des = np.array([[x0, y0, z0], [x1, y1, z1], [x2, y2, z2]])
 
     # Geometric attitude error 0.5*(Rd^T R - R^T Rd)^vee.
-    e_mat = 0.5 * (r_des.T @ r - r.T @ r_des)
-    e_att = np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
-    omega = y[10:13]
+    e_p = (r_des.T @ r).tolist()
+    e_m = (r.T @ r_des).tolist()
+    ex = 0.5 * (e_p[2][1] - e_m[2][1])
+    ey = 0.5 * (e_p[0][2] - e_m[0][2])
+    ez = 0.5 * (e_p[1][0] - e_m[1][0])
     ix, iy, iz = params.inertia_diag
-    tau = np.array([
-        ix * (-gains.kp_att * e_att[0] - gains.kd_att * omega[0]),
-        iy * (-gains.kp_att * e_att[1] - gains.kd_att * omega[1]),
-        iz * (-gains.kp_yaw * e_att[2] - gains.kd_yaw * omega[2]),
-    ])
+    tx = ix * (-gains.kp_att * ex - gains.kd_att * wx)
+    ty = iy * (-gains.kp_att * ey - gains.kd_att * wy)
+    tz = iz * (-gains.kp_yaw * ez - gains.kd_yaw * wz)
 
     collective = m * float(a_des @ r[:, 2])
     collective = max(collective, 0.0)
@@ -232,17 +251,18 @@ def pid_controller(y: np.ndarray, target, gains: PidGains,
     # Plus-configuration mixing at zero tilt (yaw via rotor drag moments,
     # signs matching the dynamics' spin-sign pattern).
     fc = collective / 4.0
-    tx, ty, tz = tau
     g1, g2, g3, g4 = params.rotor_spin_signs
     f1 = fc - ty / (2 * l) + g1 * tz / (4 * k)
     f2 = fc + tx / (2 * l) + g2 * tz / (4 * k)
     f3 = fc + ty / (2 * l) + g3 * tz / (4 * k)
     f4 = fc - tx / (2 * l) + g4 * tz / (4 * k)
-    thrust = np.clip([f1, f2, f3, f4], *params.thrust_range_n)
-
-    rates = np.clip(-gains.k_tilt * y[13:17],
-                    *params.tilt_rate_range_radps)
-    return ActuatorCommand(np.asarray(thrust, dtype=float), rates)
+    # Clamped as np.clip clamps: v itself unless strictly outside the range.
+    flo, fhi = params.thrust_range_n
+    thrust = [flo if f < flo else fhi if f > fhi else f for f in (f1, f2, f3, f4)]
+    rlo, rhi = params.tilt_rate_range_radps
+    rates = [-gains.k_tilt * t for t in y[13:17].tolist()]
+    rates = [rlo if v < rlo else rhi if v > rhi else v for v in rates]
+    return ActuatorCommand(np.array(thrust), np.array(rates))
 
 
 @dataclass
@@ -265,17 +285,17 @@ def run_waypoint_mission(controller, mission: MissionSpec, params: SimParams,
     rows: list[str] = []
     hits: list[bool] = []
     for wp in mission.waypoints:
-        wp_arr = np.asarray(wp, dtype=float)
+        wp = tuple(map(float, wp))
 
         if controller == "pid":
-            def cmd_fn(y, t, _wp=wp_arr):
+            def cmd_fn(y, t, _wp=wp):
                 return pid_controller(y, _wp, gains, params), np.zeros(4)
         else:
-            def cmd_fn(y, t, _wp=wp_arr):
+            def cmd_fn(y, t, _wp=wp):
                 return policy_command(controller, y, _wp, platform, params)
 
         y, reached, steps, trace = _run_to_goal(
-            cmd_fn, y, wp_arr, params, max_steps=mission.steps_per_waypoint,
+            cmd_fn, y, wp, params, max_steps=mission.steps_per_waypoint,
             tolerance=mission.reach_tolerance_m, record_trace=True)
         rows.extend(trace)
         hits.append(reached)

@@ -6,8 +6,9 @@ steps for the quadcopter stage plus developmental and scratch tilt-rotor
 stages). Those runs take minutes each, so artifacts are cached under
 TILTRL_ACCEPTANCE_CACHE (default: /tmp/tiltrl_acceptance). Each run directory
 holds a key, a sha256 over the package sources, the stage's command line and
-budgets, the numpy version and, for a developmental stage, its quad stage's
-key. A directory whose key is missing or differs is deleted and retrained.
+budgets, the numpy version, the TILTRL_* config overrides in the environment
+(which the training child inherits) and, for a developmental stage, its quad
+stage's key. A directory whose key is missing or differs is deleted and retrained.
 Stale stages train in child processes, up to one per seed at a time, and
 the fault-ablation cells run as child `tiltrl eval` processes side by side.
 Delete the cache directory to force a full retrain.
@@ -83,16 +84,21 @@ def _train(argv, steps=DESK_STEPS):
 
 def _stage_key(argv, parent_key: str = "") -> str:
     """sha256 over every package source file (sorted by name), the stage's
-    argv, the step budget, the snapshot cadence, the numpy version and the
-    key of the stage this one starts from."""
+    argv, the step budget, the snapshot cadence, the numpy version, the
+    sorted TILTRL_* config overrides the training child sees (see _cli) and
+    the key of the stage this one starts from. TILTRL_ACCEPTANCE_CACHE only
+    locates the cache, so it is left out."""
     h = hashlib.sha256()
     for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
         with open(path, "rb") as fh:
             data = fh.read()
         h.update(f"{os.path.basename(path)}:{len(data)}:".encode())
         h.update(data)
+    child_env = {**os.environ, **_cli_env(DESK_STEPS)}
+    overrides = sorted((k, v) for k, v in child_env.items()
+                       if k.startswith("TILTRL_") and k != "TILTRL_ACCEPTANCE_CACHE")
     h.update(json.dumps([argv, DESK_STEPS, SNAP_EVERY, np.__version__,
-                         parent_key]).encode())
+                         parent_key, overrides]).encode())
     return h.hexdigest()
 
 
@@ -264,6 +270,23 @@ class TestArtifactCache:
         os.remove(os.path.join(run_dir, KEY_FILE))
         _ensure_stage(run_dir, argv, key)   # unkeyed: retrained
         assert len(trained) == 2
+
+    def test_key_tracks_config_overrides(self, monkeypatch):
+        # The training child inherits the environment, so a TILTRL_* override
+        # changes what a stage trains and must change its key.
+        for var in [v for v in os.environ if v.startswith("TILTRL_")]:
+            monkeypatch.delenv(var)
+        argv = ["train-quad", "--seed", "1"]
+        key = _stage_key(argv)
+        monkeypatch.setenv("TILTRL_ACCEPTANCE_CACHE", "/elsewhere")
+        assert _stage_key(argv) == key      # only locates the cache
+        monkeypatch.setenv("TILTRL_TOTAL_STEPS", "7")
+        assert _stage_key(argv) == key      # the child's budget overrides it
+        monkeypatch.setenv("TILTRL_SIGMA", "0.5")
+        sigma = _stage_key(argv)
+        assert sigma != key
+        monkeypatch.setenv("TILTRL_SIGMA", "0.3")
+        assert _stage_key(argv) not in (key, sigma)
 
 
 # --- 1. dynamics property suite ----------------------------------------------

@@ -116,6 +116,76 @@ def test_same_seed_golden_checkpoints(tmp_path):
         assert digest == GOLDEN_SHA256[stage], stage
 
 
+# sha256 of every evaluation output for fixed-seed actors, recorded under
+# GOLDEN_NUMPY before the evaluation step was rewritten in scalar code. A
+# change that alters a trial, a trace value or its formatting shows up here.
+GOLDEN_EVAL_SHA256 = {
+    "developmental/ablate/summary.csv":
+        "65449fc4c65d2f5b87c2fbaeb765d0b8f6f2c510d873b00d8e381e16d9c1356d",
+    "developmental/hover/hover_trace_000.csv":
+        "283c32ec1b27b683fd90046f5095326dfaf9526bf51ef34d7e1a147035bb9a45",
+    "developmental/hover/hover_trace_001.csv":
+        "c071e866bd14fe42fc641ab1a4f9b8f23fc00c2b365cdfa28438ec3b22924509",
+    "developmental/hover/hover_trace_002.csv":
+        "7f18b0374aa1b0ca7ed04f78bce1715abe7a64e0e5b65f89ef5a40bdf6892bcc",
+    "developmental/hover/summary.csv":
+        "d43a9d4b574cf78299fb9129a43b5b656fdf2e6f6c3cd34c77ab86cc16c5e5a7",
+    "developmental/waypoint/waypoint_trace.csv":
+        "5697c5c3f8359c38dc153b1107847ccbc513680aa4213e2bfb6e80c2c920ab76",
+    "pid/waypoint_trace.csv":
+        "34ae07a807aa0af627249af7b1dd4e0a0a76a8243421f62ba5e4103dac88d925",
+    "scratch/ablate/summary.csv":
+        "fff5d7f93d15a9533089620440d2fea927bdf59c72d19a2cfa58f1b64eb44504",
+    "scratch/hover/hover_trace_000.csv":
+        "39258ad1b2d766237936284425151e4e39417b5e3fa7fa6cbc9d8dd30262818c",
+    "scratch/hover/hover_trace_001.csv":
+        "4b74c38f9ec7007b7d7392448df43bdc3cb5ef9a6431bfdfd6bc5244deb377fe",
+    "scratch/hover/hover_trace_002.csv":
+        "b940fecd7822c2b048cba722c72740f96f5514aefef132245057e0a0e044e639",
+    "scratch/hover/summary.csv":
+        "e120d5cacec88d31834d77e86da5116828bd590117c874ff3af3916e5ee66f29",
+    "scratch/waypoint/waypoint_trace.csv":
+        "b23647bb70ef403876f9ad9774882a56f015ac3aded005bc92c57e3cc76e1a9d",
+}
+
+
+def golden_eval_digests(tmp_path) -> dict[str, str]:
+    """Save a developmental (transferred) and a scratch tilt-rotor actor from
+    fixed seeds, run every evaluation mode on them, and hash the outputs by
+    path relative to tmp_path."""
+    from tiltrl import transfer
+    ckpts = {}
+    for label, seed in (("developmental", 11), ("scratch", 22)):
+        rng = np.random.default_rng(seed)
+        if label == "developmental":
+            quad = nn.make_mlp([18, 64, 64, 4], rng, output_tanh=True)
+            actor, _ = transfer.build_tilt_actor(quad, rng)
+        else:
+            actor = nn.make_mlp([22, 64, 64, 8], rng, output_tanh=True)
+        critic = nn.make_mlp([22, 64, 64, 1], rng, output_tanh=False)
+        ckpts[label] = str(tmp_path / f"{label}.bin")
+        nn.save_checkpoint(ckpts[label], {"actor": (actor, None), "critic": (critic, None)},
+                           seed, 0)
+    out = tmp_path / "eval"
+    for label, ckpt in ckpts.items():
+        assert run(tmp_path, "eval", ckpt, "--mode", "hover", "--trials", "3", "--seed", "7",
+                   "--out", str(out / label / "hover")) == 0
+        assert run(tmp_path, "eval", ckpt, "--mode", "ablate", "--faulty", "2",
+                   "--trials", "3", "--seed", "7", "--out", str(out / label / "ablate")) == 0
+        assert run(tmp_path, "eval", ckpt, "--mode", "waypoint",
+                   "--out", str(out / label / "waypoint")) in (0, 2)
+    assert run(tmp_path, "eval", "--mode", "waypoint", "--controller", "pid",
+               "--out", str(out / "pid")) == 0
+    return {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*.csv"))}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"golden hashes were recorded under numpy {GOLDEN_NUMPY}")
+def test_same_seed_golden_eval_outputs(tmp_path):
+    assert golden_eval_digests(tmp_path) == GOLDEN_EVAL_SHA256
+
+
 class TestTrainTilt:
     def test_developmental_writes_transfer_report(self, tmp_path):
         quad = train_quad(tmp_path)

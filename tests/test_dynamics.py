@@ -249,3 +249,48 @@ class TestEulerZyx:
         assert pitch == pytest.approx(math.pi / 2, abs=1e-9)
         q2 = quat_from_euler_zyx(roll, pitch, yaw)
         np.testing.assert_allclose(quat_to_rot(q2), quat_to_rot(q), atol=1e-6)
+
+
+def clamped_rk4_reference(y, thrust_cmd, tilt_cmd, p):
+    """RK4 step with quaternion renormalization and the tilt and thrust
+    clamps written as builtin min(hi, max(lo, v)), in step_flat's order of
+    operations."""
+    y, dt = list(y), p.dt_s
+    k1 = derivative(y, thrust_cmd, tilt_cmd, p)
+    k2 = derivative([a + 0.5 * dt * b for a, b in zip(y, k1)], thrust_cmd, tilt_cmd, p)
+    k3 = derivative([a + 0.5 * dt * b for a, b in zip(y, k2)], thrust_cmd, tilt_cmd, p)
+    k4 = derivative([a + dt * b for a, b in zip(y, k3)], thrust_cmd, tilt_cmd, p)
+    out = [a + dt / 6.0 * (b + 2.0 * (c + d) + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    n = math.sqrt(out[6] * out[6] + out[7] * out[7] + out[8] * out[8] + out[9] * out[9])
+    out[6:10] = [v / n for v in out[6:10]]
+    (tlo, thi), (flo, fhi) = p.tilt_angle_range_rad, p.thrust_range_n
+    out[13:17] = [min(thi, max(tlo, v)) for v in out[13:17]]
+    out[17:21] = [min(fhi, max(flo, v)) for v in out[17:21]]
+    return np.array(out)
+
+
+def test_step_clamps_match_builtin_min_max_bit_for_bit():
+    # Tilts and thrusts start outside their ranges, and -0.0 entries meet
+    # zero-valued bounds of the other sign (a degenerate but valid tilt range
+    # and thrust floor), where the sign of the clamped zero depends on which
+    # operand a clamp returns on a tie.
+    rng = np.random.default_rng(17)
+    signed_zero_bounds = SimParams(thrust_range_n=(-0.0, 15.0), tilt_angle_range_rad=(-0.0, 0.0))
+    zeros_out = 0
+    for p in (PARAMS, signed_zero_bounds):
+        for i in range(300):
+            y = random_state(rng, tilt_scale=1.5)
+            y[17:21] = rng.uniform(-5.0, 20.0, 4)
+            thrust = rng.uniform(-5.0, 20.0, 4)
+            rates = rng.uniform(-4.0, 4.0, 4)
+            zeros = rng.random(8) < 0.5
+            if i % 2:
+                y[13:21][zeros] = 0.0
+                thrust[zeros[4:]] = 0.0
+                rates[zeros[:4]] = -0.0
+                y[13:17][zeros[:4]] = -0.0
+            got = step_flat(y, thrust, rates, p)
+            want = clamped_rk4_reference(y, thrust.tolist(), rates.tolist(), p)
+            assert got.tobytes() == want.tobytes(), i
+            zeros_out += int(np.sum(got[13:21] == 0.0))
+    assert zeros_out > 100

@@ -10,7 +10,7 @@ from tiltrl.dynamics import (SimParams, euler_zyx, hover_state,
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
                         RewardWeights, TermStatus, actuator_command,
                         observation, random_unit_quat, reset_state, reward,
-                        termination)
+                        termination, trace_row)
 
 PARAMS = SimParams()
 WEIGHTS = RewardWeights()
@@ -95,6 +95,26 @@ class TestActionScaling:
     def test_quad_has_zero_tilt_rates(self):
         _, cmd = actuator_command(np.ones(4), Platform.QUAD, PARAMS)
         np.testing.assert_array_equal(cmd.tilt_rate_cmd_radps, 0.0)
+
+    def test_clamps_match_np_clip_bit_for_bit(self):
+        # NaN must propagate, and at a zero hover thrust against a -0.0
+        # thrust floor the clamp must return np.clip's zero.
+        specials = [math.nan, -0.0, 0.0, math.inf, -math.inf, 1.0, -1.0, 1.5, -1.5, 5e-324]
+        rng = np.random.default_rng(4)
+        zero_hover = SimParams(thrust_range_n=(-0.0, 15.0), gravity_mps2=0.0)
+        for p in (PARAMS, zero_hover):
+            flo, fhi = p.thrust_range_n
+            for _ in range(200):
+                action = np.where(rng.random(8) < 0.5, rng.choice(specials, 8),
+                                  rng.uniform(-2.0, 2.0, 8))
+                a, cmd = actuator_command(action, Platform.TILT_ROTOR, p)
+                want_a = np.clip(action, -1.0, 1.0)
+                want_thrust = np.clip(p.hover_thrust_n + want_a[:4] * (fhi - flo) / 2.0,
+                                      flo, fhi)
+                want_rates = want_a[4:8] * 6.0 / 2.0
+                assert a.tobytes() == want_a.tobytes()
+                assert cmd.thrust_cmd_n.tobytes() == want_thrust.tobytes()
+                assert cmd.tilt_rate_cmd_radps.tobytes() == want_rates.tobytes()
 
 
 class TestReward:
@@ -252,3 +272,20 @@ class TestHoverEnv:
         assert len(lines) == 6
         assert all(len(line.split(",")) == len(TRACE_HEADER.split(","))
                    for line in lines)
+
+    def test_trace_row_formats_like_format_spec(self):
+        # Each value as f"{v:.9g}": random bit patterns plus signed zeros,
+        # infinities, NaN, the smallest subnormal and a huge value, in the
+        # state, the actions (quad actions padded with zeros) and the reward.
+        rng = np.random.default_rng(8)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300]
+        for t in range(300):
+            vals = rng.integers(0, 2**64, 26, dtype=np.uint64).view(np.float64)
+            mask = rng.random(26) < 0.3
+            vals[mask] = rng.choice(specials, 26)[mask]
+            y = np.concatenate([vals[0:6], random_unit_quat(rng), vals[6:17]])
+            action = vals[17:21] if t % 2 else vals[17:25]
+            padded = np.concatenate([action, np.zeros(8 - len(action))])
+            fields = [*y[0:6], *euler_zyx(y[6:10]), *y[10:21], *padded, vals[25]]
+            want = f"{t}," + ",".join(f"{v:.9g}" for v in fields)
+            assert trace_row(t, y, action, vals[25]) == want

@@ -97,6 +97,30 @@ class TestRunToGoal:
         assert not ok and steps == -1
 
 
+    def test_reach_decision_at_the_tolerance_is_the_norms(self):
+        # Points on the 0.2 m sphere and one ulp of radius inside and
+        # outside it. The decision must be np.linalg.norm(...) <= tol; the
+        # corpus holds points where a scalar squared-distance test decides
+        # otherwise, so a goal test that skips the norm fails here.
+        p, tol = SimParams(), ev.SUCCESS_TOLERANCE_M
+        target = np.array([0.3, -0.2, 3.0])
+        rng = np.random.default_rng(12)
+        scalar_differs = 0
+        for _ in range(300):
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            for radius in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
+                st = hover_state(p, target + u * radius)
+                d = st[0:3] - target
+                want = bool(np.linalg.norm(d) <= tol)
+                _, ok, steps, _ = ev._run_to_goal(pid_command(target, p), st, target, p,
+                                                  max_steps=0)
+                assert ok == want and steps == (0 if want else -1)
+                d0, d1, d2 = d.tolist()
+                scalar_differs += (d0 * d0 + d1 * d1 + d2 * d2 <= tol * tol) != want
+        assert scalar_differs > 0
+
+
 class TestHoverEval:
     def test_deterministic_and_seeded(self):
         actor = zero_actor(Platform.QUAD)
