@@ -4,7 +4,7 @@ transfer with frozen layers, and evaluation protocols."""
 
 __version__ = "0.1.0"
 
-from .dynamics import ActuatorCommand, SimParams
+from .dynamics import SimParams
 from .env import EpisodeConfig, HoverEnv, Platform, RewardWeights
 from .neuralnet import AdamState, Mlp
 from .ppo import RolloutBuffer, TrainConfig

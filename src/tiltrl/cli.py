@@ -30,9 +30,8 @@ from . import ppo, transfer
 from .config import ConfigError, RunConfig, as_flat_dict, default_config, \
     load_config, write_config
 from .env import EpisodeCounter, HoverEnv, Platform, write_trace
-from .evalsuite import (SUMMARY_HEADER, actor_platform, default_square_mission,
-                        run_fault_ablation, run_hover_eval, run_waypoint_mission,
-                        summary_rows)
+from .evalsuite import (SQUARE_MISSION, SUMMARY_HEADER, run_fault_ablation,
+                        run_hover_eval, run_waypoint_mission, summary_rows)
 from .neuralnet import ShapeMismatchError, atomic_open
 
 
@@ -177,31 +176,29 @@ def cmd_eval(args) -> int:
         actor = _load_actor(args.checkpoint)
 
     if args.mode == "hover":
-        results = run_hover_eval(actor, actor_platform(actor), cfg.sim, args.trials, seed,
-                                 trace_dir=args.out)
-        _write_summary(args.out, results, 0)
+        results = run_hover_eval(actor, cfg.sim, args.trials, seed, trace_dir=args.out)
+        _write_summary(args.out, results)
         n_ok = sum(r.success for r in results)
         print(f"hover eval: {n_ok}/{len(results)} successes")
     elif args.mode == "ablate":
         successes, results = run_fault_ablation(actor, args.faulty, args.trials,
                                                 cfg.sim, seed)
-        _write_summary(args.out, results, args.faulty)
+        _write_summary(args.out, results)
         print(f"ablation ({args.faulty} faulty): {successes}/{args.trials} successes")
     else:
-        mission = default_square_mission()
         controller = "pid" if args.controller == "pid" else actor
-        res = run_waypoint_mission(controller, mission, cfg.sim, gains=cfg.pid)
+        res = run_waypoint_mission(controller, SQUARE_MISSION, cfg.sim, gains=cfg.pid)
         write_trace(os.path.join(args.out, "waypoint_trace.csv"), res.trace)
-        print(f"waypoint mission: visited {sum(res.hits)}/{len(mission.waypoints)}"
+        print(f"waypoint mission: visited {sum(res.hits)}/{len(SQUARE_MISSION)}"
               f" -> {'ok' if res.all_visited else 'FAILED'}")
         return 0 if res.all_visited else 2
     return 0
 
 
-def _write_summary(out_dir, results, n_faulty) -> None:
+def _write_summary(out_dir, results) -> None:
     with atomic_open(os.path.join(out_dir, "summary.csv")) as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        fh.write("\n".join(summary_rows(results, n_faulty)) + "\n")
+        fh.write("\n".join(summary_rows(results)) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

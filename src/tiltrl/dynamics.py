@@ -78,14 +78,6 @@ def hover_state(params: SimParams, position=(0.0, 0.0, 0.0)) -> np.ndarray:
     return y
 
 
-@dataclass
-class ActuatorCommand:
-    """Commanded thrusts and tilt rates, already in physical units."""
-
-    thrust_cmd_n: np.ndarray        # (4,)
-    tilt_rate_cmd_radps: np.ndarray  # (4,)
-
-
 def rot_entries(w, x, y, z) -> list:
     """Row-major entries of the rotation matrix (body->world) of the unit
     quaternion (w, x, y, z), in scalar math."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    ActuatorCommand,
     SimParams,
     _euler_from_rot,
     euler_zyx,
@@ -89,12 +88,13 @@ class RewardWeights:
 
 
 def actuator_command(action: np.ndarray, platform: Platform,
-                     params: SimParams) -> tuple[np.ndarray, ActuatorCommand]:
+                     params: SimParams) -> tuple[np.ndarray, list, list]:
     """Clamp the action to [-1, 1] and scale it to physical commands.
 
     Thrusts are centered at hover and clamped to their range; tilt rates
     span the servo range on the tilt-rotor and are zero on the quadcopter.
-    Returns (clamped action, command)."""
+    Returns (clamped action, thrusts, tilt rates), the commands as lists of
+    four floats."""
     # ndarray.clip is np.clip without its dispatch wrapper: same ufunc, same
     # bits. The thrust clamp returns what np.clip returns, NaN and signed
     # zeros included: v itself unless it lies strictly outside the range.
@@ -109,7 +109,7 @@ def actuator_command(action: np.ndarray, platform: Platform,
         rates = [v * (rhi - rlo) / 2.0 for v in al[4:8]]
     else:
         rates = [0.0] * 4
-    return a, ActuatorCommand(np.array(thrust), np.array(rates))
+    return a, thrust, rates
 
 
 def observation(y: np.ndarray, target, platform: Platform) -> np.ndarray:
@@ -209,7 +209,8 @@ class HoverEnv:
     """Gym-style wrapper: reset() -> obs, step(action) -> (obs, reward, status).
 
     Each instance owns its RNG and its flat state `y` (layout in `dynamics`,
-    None before the first reset); instances are independent.
+    None before the first reset); instances are independent. `t` counts the
+    steps of the current episode and `episode_return` sums their rewards.
     """
 
     def __init__(self, platform: Platform, params: SimParams, cfg: EpisodeConfig,
@@ -223,6 +224,7 @@ class HoverEnv:
         self.counter = counter if counter is not None else EpisodeCounter()
         self.y: np.ndarray | None = None
         self.t = 0
+        self.episode_return = 0.0
         self._target = tuple(map(float, cfg.target_position_m))
 
     @property
@@ -239,20 +241,22 @@ class HoverEnv:
     def reset(self) -> np.ndarray:
         self.y = reset_state(self.rng, self.cfg, self.counter.next(), self.params)
         self.t = 0
+        self.episode_return = 0.0
         return self.observe()
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, float, TermStatus]:
         """Apply one clamped/scaled action; reward is on the post-step state."""
-        a, cmd = actuator_command(action, self.platform, self.params)
+        a, thrust, rates = actuator_command(action, self.platform, self.params)
+        self.t += 1
         try:
-            y = step_flat(self.y, cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, self.params)
+            y = step_flat(self.y, thrust, rates, self.params)
         except NonFiniteError:
-            self.t += 1
             return np.zeros(self.obs_dim), 0.0, TermStatus.DIVERGED
         self.y = y
-        self.t += 1
         obs = observation(y, self._target, self.platform)
-        return obs, reward(obs, a, self.weights), termination(y, self.t, self.cfg)
+        r = reward(obs, a, self.weights)
+        self.episode_return += r
+        return obs, r, termination(y, self.t, self.cfg)
 
 
 TRACE_HEADER = ("t,x,y,z,vx,vy,vz,roll,pitch,yaw,p,q,r,"

@@ -15,33 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neuralnet as nn
-from .dynamics import (ActuatorCommand, NonFiniteError, SimParams, euler_zyx,
-                       hover_state, quat_to_rot, step_flat)
+from .dynamics import (NonFiniteError, SimParams, euler_zyx, hover_state,
+                       quat_to_rot, step_flat)
 from .env import (EpisodeConfig, Platform, actuator_command, observation,
                   reset_state, trace_row, write_trace)
 
 HOVER_TARGET = (0.0, 0.0, 3.0)
 SUCCESS_TOLERANCE_M = 0.2
 MAX_EVAL_STEPS = 1500
-
-
-@dataclass(frozen=True)
-class MissionSpec:
-    waypoints: tuple[tuple[float, float, float], ...]
-    reach_tolerance_m: float = 0.2
-    steps_per_waypoint: int = 1500
-
-    def __post_init__(self):
-        if not self.waypoints:
-            raise ValueError("mission needs at least one waypoint")
-        if self.reach_tolerance_m <= 0:
-            raise ValueError("reach_tolerance_m must be > 0")
-
-
-def default_square_mission(z: float = 3.0, side: float = 2.0) -> MissionSpec:
-    """Square circuit of four waypoints at constant altitude."""
-    h = side / 2.0
-    return MissionSpec(waypoints=((h, h, z), (-h, h, z), (-h, -h, z), (h, -h, z)))
+# Per step, a faulty tilt servo obeys its commanded rate with this probability.
+FAULT_RESPONSE_PROBABILITY = 0.4
+# Square circuit of side 2 m at 3 m altitude.
+SQUARE_MISSION = ((1.0, 1.0, 3.0), (-1.0, 1.0, 3.0), (-1.0, -1.0, 3.0), (1.0, -1.0, 3.0))
 
 
 @dataclass
@@ -57,12 +42,12 @@ class TrialResult:
 
 
 def policy_command(actor: nn.Mlp, y: np.ndarray, target,
-                   platform: Platform, params: SimParams) -> tuple[ActuatorCommand, np.ndarray]:
+                   platform: Platform, params: SimParams) -> tuple[list, list, np.ndarray]:
     """Deterministic actuator command from the policy mean at the flat
-    state y. Returns (command, clamped action)."""
-    a, cmd = actuator_command(nn.forward(actor, observation(y, target, platform)),
-                              platform, params)
-    return cmd, a
+    state y. Returns (thrusts, tilt rates, clamped action)."""
+    a, thrust, rates = actuator_command(
+        nn.forward(actor, observation(y, target, platform)), platform, params)
+    return thrust, rates, a
 
 
 def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
@@ -71,7 +56,7 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     """Step the simulator from the flat state y until the target is reached
     or the budget runs out.
 
-    command_fn(y, t) -> (ActuatorCommand, action_vector). Returns
+    command_fn(y) -> (thrusts, tilt rates, action vector). Returns
     (flat state, success, steps_to_reach, rows)."""
     target = np.asarray(target, dtype=float)
     tx, ty, tz = target.tolist()
@@ -88,9 +73,9 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     if reached(y):
         return y, True, 0, rows
     for t in range(max_steps):
-        cmd, action = command_fn(y, t)
+        thrust, rates, action = command_fn(y)
         try:
-            y = step_flat(y, cmd.thrust_cmd_n, cmd.tilt_rate_cmd_radps, params)
+            y = step_flat(y, thrust, rates, params)
         except NonFiniteError:
             return y, False, -1, rows
         if record_trace:
@@ -117,17 +102,17 @@ def actor_platform(actor: nn.Mlp) -> Platform:
     raise nn.ShapeMismatchError(f"actor input width {actor.in_dim} fits no platform")
 
 
-def _run_trials(actor: nn.Mlp, platform: Platform, params: SimParams, n_trials: int,
-                seed: int, n_faulty: int = 0, response_probability: float = 0.4,
-                trace_dir: str | None = None) -> list[TrialResult]:
+def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
+                n_faulty: int = 0, trace_dir: str | None = None) -> list[TrialResult]:
     """Hover-recovery trials around HOVER_TARGET, with n_faulty servos that
-    obey each commanded rate with probability response_probability.
+    obey each commanded rate with probability FAULT_RESPONSE_PROBABILITY.
 
     Trial k's SeedSequence([seed, k]) drives the faulty-servo choice, then
     the initial state; a stream spawned from it drives the servo responses,
     so two policies evaluated with the same seed see identical conditions
     and draws. Choosing zero servos draws nothing: hover is the zero-fault
     case."""
+    platform = actor_platform(actor)
     cfg = EpisodeConfig(target_position_m=HOVER_TARGET)
     results = []
     for trial in range(n_trials):
@@ -137,12 +122,12 @@ def _run_trials(actor: nn.Mlp, platform: Platform, params: SimParams, n_trials: 
         y = reset_state(init_rng, cfg, cfg.so3_warmup_episodes, params)
         frng = np.random.default_rng(trial_seed.spawn(1)[0])
 
-        def cmd_fn(y, t):
-            cmd, a = policy_command(actor, y, HOVER_TARGET, platform, params)
+        def cmd_fn(y):
+            thrust, rates, a = policy_command(actor, y, HOVER_TARGET, platform, params)
             for s in faulty:
-                if frng.random() >= response_probability:
-                    cmd.tilt_rate_cmd_radps[s] = 0.0
-            return cmd, a
+                if frng.random() >= FAULT_RESPONSE_PROBABILITY:
+                    rates[s] = 0.0
+            return thrust, rates, a
 
         final, success, steps, rows = _run_to_goal(
             cmd_fn, y, HOVER_TARGET, params, record_trace=trace_dir is not None)
@@ -153,28 +138,25 @@ def _run_trials(actor: nn.Mlp, platform: Platform, params: SimParams, n_trials: 
     return results
 
 
-def run_hover_eval(actor: nn.Mlp, platform: Platform, params: SimParams,
-                   n_trials: int, seed: int,
+def run_hover_eval(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
                    trace_dir: str | None = None) -> list[TrialResult]:
-    """Hover recovery from random initial states around the target.
+    """Hover recovery of the actor's platform from random initial states.
 
     Initialization follows the training distribution with the shrunk Euler
     range (no SO(3) warmup at evaluation). Success: within 0.2 m of the
     target at any step within the budget. With trace_dir, each trial's
     trace is written to trace_dir/hover_trace_NNN.csv as the trial ends."""
-    return _run_trials(actor, platform, params, n_trials, seed, trace_dir=trace_dir)
+    return _run_trials(actor, params, n_trials, seed, trace_dir=trace_dir)
 
 
 def run_fault_ablation(actor: nn.Mlp, n_faulty: int, trials: int,
-                       params: SimParams, seed: int,
-                       response_probability: float = 0.4) -> tuple[int, list[TrialResult]]:
-    """Servo-fault ablation on the tilt-rotor: per timestep each faulty
-    servo obeys the commanded rate with probability 0.4, otherwise rate 0.
-    Returns (successes, trial results)."""
+                       params: SimParams, seed: int) -> tuple[int, list[TrialResult]]:
+    """Servo-fault ablation on the tilt-rotor: per timestep each faulty servo
+    obeys the commanded rate with probability FAULT_RESPONSE_PROBABILITY,
+    otherwise rate 0. Returns (successes, trial results)."""
     if actor.in_dim != Platform.TILT_ROTOR.obs_dim:
         raise nn.ShapeMismatchError("fault ablation requires a tilt-rotor actor")
-    results = _run_trials(actor, Platform.TILT_ROTOR, params, trials, seed, n_faulty,
-                          response_probability)
+    results = _run_trials(actor, params, trials, seed, n_faulty)
     return sum(r.success for r in results), results
 
 
@@ -199,10 +181,11 @@ class PidGains:
 
 
 def pid_controller(y: np.ndarray, target, gains: PidGains,
-                   params: SimParams) -> ActuatorCommand:
+                   params: SimParams) -> tuple[list, list]:
     """Cascaded PID on the flat state y: position error -> desired
     acceleration -> desired attitude + collective thrust; attitude PD ->
-    torques -> plus-config mixing; tilt rates regulate tilt angles to zero."""
+    torques -> plus-config mixing; tilt rates regulate tilt angles to zero.
+    Returns (thrusts, tilt rates)."""
     g = params.gravity_mps2
     m = params.mass_kg
     l = params.arm_length_m
@@ -262,7 +245,7 @@ def pid_controller(y: np.ndarray, target, gains: PidGains,
     rlo, rhi = params.tilt_rate_range_radps
     rates = [-gains.k_tilt * t for t in y[13:17].tolist()]
     rates = [rlo if v < rlo else rhi if v > rhi else v for v in rates]
-    return ActuatorCommand(np.array(thrust), np.array(rates))
+    return thrust, rates
 
 
 @dataclass
@@ -272,46 +255,45 @@ class MissionResult:
     trace: list[str]
 
 
-def run_waypoint_mission(controller, mission: MissionSpec, params: SimParams,
+def run_waypoint_mission(controller, waypoints, params: SimParams,
                          gains: PidGains | None = None) -> MissionResult:
-    """Fly the mission from hover at the first waypoint's altitude above
-    the origin; the target switches to the next waypoint on reach.
+    """Fly the waypoints in order from hover at the first one's altitude
+    above the origin; the target switches to the next waypoint on reach,
+    within SUCCESS_TOLERANCE_M and MAX_EVAL_STEPS per leg.
 
     controller is either "pid" or a trained actor Mlp of either platform.
     Returns per-waypoint hit flags and the full trace."""
-    y = hover_state(params, (0.0, 0.0, mission.waypoints[0][2]))
+    y = hover_state(params, (0.0, 0.0, waypoints[0][2]))
     platform = None if controller == "pid" else actor_platform(controller)
     gains = gains if gains is not None else PidGains()
     rows: list[str] = []
     hits: list[bool] = []
-    for wp in mission.waypoints:
+    for wp in waypoints:
         wp = tuple(map(float, wp))
 
         if controller == "pid":
-            def cmd_fn(y, t, _wp=wp):
-                return pid_controller(y, _wp, gains, params), np.zeros(4)
+            def cmd_fn(y, _wp=wp):
+                return (*pid_controller(y, _wp, gains, params), np.zeros(4))
         else:
-            def cmd_fn(y, t, _wp=wp):
+            def cmd_fn(y, _wp=wp):
                 return policy_command(controller, y, _wp, platform, params)
 
-        y, reached, steps, trace = _run_to_goal(
-            cmd_fn, y, wp, params, max_steps=mission.steps_per_waypoint,
-            tolerance=mission.reach_tolerance_m, record_trace=True)
+        y, reached, steps, trace = _run_to_goal(cmd_fn, y, wp, params, record_trace=True)
         rows.extend(trace)
         hits.append(reached)
         if not reached:
             break
-    return MissionResult(hits=hits, all_visited=len(hits) == len(mission.waypoints)
+    return MissionResult(hits=hits, all_visited=len(hits) == len(waypoints)
                          and all(hits), trace=rows)
 
 
 SUMMARY_HEADER = "trial,seed,n_faulty,servo_ids,success,steps_to_reach,final_error_m"
 
 
-def summary_rows(results: list[TrialResult], n_faulty: int = 0) -> list[str]:
+def summary_rows(results: list[TrialResult]) -> list[str]:
     rows = []
     for r in results:
         ids = ";".join(str(s) for s in r.servo_ids)
-        rows.append(f"{r.trial},{r.seed},{n_faulty},{ids},{int(r.success)},"
+        rows.append(f"{r.trial},{r.seed},{len(r.servo_ids)},{ids},{int(r.success)},"
                     f"{r.steps_to_reach},{r.final_error_m:.6g}")
     return rows

@@ -44,12 +44,8 @@ CHECKPOINT_VERSION = 1
 _LAYER_DTYPES = ("<f8", "<f8", np.uint8, np.uint8)   # W, b, frozen_W, frozen_b
 
 
-class DimensionMismatchError(ValueError):
-    """Input or upstream vector does not match the network's layer shapes."""
-
-
 class ShapeMismatchError(ValueError):
-    """Network shape does not match what an operation requires."""
+    """A network, input or upstream shape does not match what an operation requires."""
 
 
 def _flatten(ws, bs, dtype) -> np.ndarray:
@@ -114,14 +110,10 @@ class Mlp:
 
 @dataclass
 class AdamState:
-    """Adam moments m, v laid out like the net's params; m_w, v_w, m_b, v_b are views."""
+    """Adam moments m, v laid out like the net's params (net.views splits them)."""
 
     m: np.ndarray
     v: np.ndarray
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -130,9 +122,8 @@ class AdamState:
     @classmethod
     def for_net(cls, net: Mlp, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> "AdamState":
-        m, v = np.zeros_like(net.params), np.zeros_like(net.params)
-        (m_w, m_b), (v_w, v_b) = net.views(m), net.views(v)
-        return cls(m, v, m_w, v_w, m_b, v_b, 0, beta1, beta2, eps)
+        return cls(np.zeros_like(net.params), np.zeros_like(net.params), 0,
+                   beta1, beta2, eps)
 
 
 def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,7 +157,7 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on a single input (1-D) or a batch (2-D)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.in_dim:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"input dim {x.shape[-1]} != network input {net.in_dim}")
     return activations(net, x)[-1]
 
@@ -182,10 +173,10 @@ def gradients(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts=None) -> np.nd
     x = np.atleast_2d(np.asarray(x, dtype=float))
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
     if x.shape[-1] != net.in_dim:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"input dim {x.shape[-1]} != network input {net.in_dim}")
     if upstream.shape[-1] != net.out_dim:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"upstream dim {upstream.shape[-1]} != network output {net.out_dim}")
 
     if acts is None:
@@ -248,7 +239,8 @@ def _pack_net(fh, name: str, net: Mlp, opt: AdamState | None) -> None:
     fh.write(struct.pack("<B", int(opt is not None)))
     if opt is not None:
         fh.write(struct.pack("<Qddd", opt.step_count, opt.beta1, opt.beta2, opt.eps))
-        for layer in zip(opt.m_w, opt.v_w, opt.m_b, opt.v_b):
+        (m_w, m_b), (v_w, v_b) = net.views(opt.m), net.views(opt.v)
+        for layer in zip(m_w, v_w, m_b, v_b):
             for arr in layer:
                 fh.write(arr.astype("<f8", copy=False).tobytes())
 
@@ -276,7 +268,8 @@ def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
         step_count, b1, b2, eps = _read(fh, "<Qddd")
         opt = AdamState.for_net(net, b1, b2, eps)
         opt.step_count = step_count
-        for layer in zip(opt.m_w, opt.v_w, opt.m_b, opt.v_b):
+        (m_w, m_b), (v_w, v_b) = net.views(opt.m), net.views(opt.v)
+        for layer in zip(m_w, v_w, m_b, v_b):
             for arr in layer:
                 _read_into(fh, arr)
     return name, net, opt

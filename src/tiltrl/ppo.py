@@ -11,7 +11,7 @@ all steps of env 0, then env 1, and so on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -105,8 +105,6 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
 
     obs = np.array([env.observe() if env.y is not None else env.reset()
                     for env in envs], dtype=float)
-    ep_ret = [getattr(env, "_running_return", 0.0) for env in envs]
-    ep_len = [getattr(env, "_running_length", 0) for env in envs]
     for t in range(steps_per_env):
         obs_buf[:, t] = obs
         mean = nn.forward(policy, obs[:, None, :])[:, 0]
@@ -117,19 +115,13 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
         for e, env in enumerate(envs):
             ob, r, status = env.step(action[e])
             rew_buf[e, t] = r
-            ep_ret[e] += r
-            ep_len[e] += 1
             if status is not TermStatus.RUNNING:
                 done_buf[e, t] = 1.0
-                episodes[e].append((ep_ret[e], ep_len[e], status))
-                ep_ret[e], ep_len[e] = 0.0, 0
+                episodes[e].append((env.episode_return, env.t, status))
                 ob = env.reset()
             obs[e] = ob
     tail = nn.forward(critic, obs[:, None, :])[:, 0, 0]
     bootstrap = np.where(done_buf[:, -1] == 0.0, tail, 0.0)
-    for e, env in enumerate(envs):
-        env._running_return = ep_ret[e]
-        env._running_length = ep_len[e]
 
     t_total = n_envs * steps_per_env
     act_buf = act_buf.reshape(t_total, act_dim)
@@ -242,11 +234,6 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
     }
 
 
-TRAIN_LOG_HEADER = ("update_index,env_steps,lr,mean_ep_reward,mean_ep_len,"
-                    "policy_loss,value_loss,clip_fraction,"
-                    "n_out_of_bounds,n_diverged,n_max_steps,action_clip_fraction")
-
-
 @dataclass
 class TrainLogRow:
     update_index: int
@@ -263,12 +250,13 @@ class TrainLogRow:
     action_clip_fraction: float  # share of pre-clamp action entries with |a| > 1
 
     def csv(self) -> str:
-        return (f"{self.update_index},{self.env_steps},{self.lr:.9g},"
-                f"{self.mean_ep_reward:.9g},{self.mean_ep_len:.9g},"
-                f"{self.policy_loss:.9g},{self.value_loss:.9g},"
-                f"{self.clip_fraction:.9g},{self.n_out_of_bounds},"
-                f"{self.n_diverged},{self.n_max_steps},"
-                f"{self.action_clip_fraction:.9g}")
+        """The row in TRAIN_LOG_HEADER's columns: ints as written, floats
+        to nine significant digits."""
+        return ",".join(str(v) if isinstance(v, int) else f"{v:.9g}"
+                        for v in astuple(self))
+
+
+TRAIN_LOG_HEADER = ",".join(f.name for f in fields(TrainLogRow))
 
 
 def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,

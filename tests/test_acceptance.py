@@ -35,7 +35,7 @@ from tiltrl.dynamics import (SimParams, derivative, hover_state, quat_to_rot,
                              step_flat)
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
                         RewardWeights, TermStatus)
-from tiltrl.evalsuite import (PidGains, default_square_mission, run_hover_eval,
+from tiltrl.evalsuite import (SQUARE_MISSION, PidGains, run_hover_eval,
                               run_waypoint_mission)
 
 pytestmark = pytest.mark.acceptance
@@ -474,8 +474,8 @@ class TestDeskScaleTraining:
         # Final hover success across seeds, 0.2 m tolerance, shrunk init.
         succ = total = 0
         for s in SEEDS:
-            results = run_hover_eval(_actor(_final("quad", s)), Platform.QUAD,
-                                     PARAMS, 34, seed=1000 + s)
+            results = run_hover_eval(_actor(_final("quad", s)), PARAMS, 34,
+                                     seed=1000 + s)
             succ += sum(r.success for r in results)
             total += len(results)
         rate = succ / total
@@ -584,7 +584,7 @@ class TestTransferInvariants:
 
 class TestWaypointMission:
     def test_policy_and_pid_fly_square(self, artifacts):
-        mission = default_square_mission()
+        mission = SQUARE_MISSION
         pid_a = run_waypoint_mission("pid", mission, PARAMS, gains=PidGains())
         pid_b = run_waypoint_mission("pid", mission, PARAMS, gains=PidGains())
         pid_ok = pid_a.all_visited

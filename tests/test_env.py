@@ -55,14 +55,14 @@ class TestObserve:
 
 def scale_thrust(a, params):
     """Thrust command of rotor 1 for the action value a on every actuator."""
-    _, cmd = actuator_command(np.full(8, a), Platform.TILT_ROTOR, params)
-    return cmd.thrust_cmd_n[0]
+    _, thrust, _ = actuator_command(np.full(8, a), Platform.TILT_ROTOR, params)
+    return thrust[0]
 
 
 def scale_tilt_rate(a, params):
     """Tilt-rate command of servo 1 for the action value a on every actuator."""
-    _, cmd = actuator_command(np.full(8, a), Platform.TILT_ROTOR, params)
-    return cmd.tilt_rate_cmd_radps[0]
+    _, _, rates = actuator_command(np.full(8, a), Platform.TILT_ROTOR, params)
+    return rates[0]
 
 
 class TestActionScaling:
@@ -87,14 +87,14 @@ class TestActionScaling:
         assert scale_tilt_rate(lo, PARAMS) <= scale_tilt_rate(hi, PARAMS)
 
     def test_action_clamped_before_scaling(self):
-        a, cmd = actuator_command(np.full(8, 2.0), Platform.TILT_ROTOR, PARAMS)
+        a, thrust, rates = actuator_command(np.full(8, 2.0), Platform.TILT_ROTOR, PARAMS)
         np.testing.assert_array_equal(a, 1.0)
-        assert cmd.thrust_cmd_n[0] == scale_thrust(1.0, PARAMS)
-        assert cmd.tilt_rate_cmd_radps[0] == scale_tilt_rate(1.0, PARAMS)
+        assert thrust[0] == scale_thrust(1.0, PARAMS)
+        assert rates[0] == scale_tilt_rate(1.0, PARAMS)
 
     def test_quad_has_zero_tilt_rates(self):
-        _, cmd = actuator_command(np.ones(4), Platform.QUAD, PARAMS)
-        np.testing.assert_array_equal(cmd.tilt_rate_cmd_radps, 0.0)
+        _, _, rates = actuator_command(np.ones(4), Platform.QUAD, PARAMS)
+        assert rates == [0.0] * 4
 
     def test_clamps_match_np_clip_bit_for_bit(self):
         # NaN must propagate, and at a zero hover thrust against a -0.0
@@ -107,14 +107,14 @@ class TestActionScaling:
             for _ in range(200):
                 action = np.where(rng.random(8) < 0.5, rng.choice(specials, 8),
                                   rng.uniform(-2.0, 2.0, 8))
-                a, cmd = actuator_command(action, Platform.TILT_ROTOR, p)
+                a, thrust, rates = actuator_command(action, Platform.TILT_ROTOR, p)
                 want_a = np.clip(action, -1.0, 1.0)
                 want_thrust = np.clip(p.hover_thrust_n + want_a[:4] * (fhi - flo) / 2.0,
                                       flo, fhi)
                 want_rates = want_a[4:8] * 6.0 / 2.0
                 assert a.tobytes() == want_a.tobytes()
-                assert cmd.thrust_cmd_n.tobytes() == want_thrust.tobytes()
-                assert cmd.tilt_rate_cmd_radps.tobytes() == want_rates.tobytes()
+                assert np.array(thrust).tobytes() == want_thrust.tobytes()
+                assert np.array(rates).tobytes() == want_rates.tobytes()
 
 
 class TestReward:
@@ -255,6 +255,19 @@ class TestHoverEnv:
             if status is not TermStatus.RUNNING:
                 break
         assert status in (TermStatus.MAX_STEPS, TermStatus.OUT_OF_BOUNDS)
+
+    def test_episode_return_is_the_sum_of_its_rewards(self):
+        env = make_env(seed=5)
+        env.reset()
+        rng = np.random.default_rng(5)
+        total, status = 0.0, TermStatus.RUNNING
+        while status is TermStatus.RUNNING:
+            _, r, status = env.step(rng.uniform(-1.0, 1.0, 4))
+            total += r
+            assert env.episode_return == total
+        assert env.t > 1
+        env.reset()
+        assert env.episode_return == 0.0 and env.t == 0
 
     def test_trace_schema(self, tmp_path):
         from tiltrl.env import TRACE_HEADER, trace_row, write_trace

@@ -18,42 +18,42 @@ def zero_actor(platform=Platform.TILT_ROTOR):
 
 def pid_command(target, p):
     """_run_to_goal command function: the PID baseline, zero action vector."""
-    return lambda y, t: (ev.pid_controller(y, target, ev.PidGains(), p), np.zeros(4))
+    return lambda y: (*ev.pid_controller(y, target, ev.PidGains(), p), np.zeros(4))
 
 
 class TestPidController:
     def test_hover_equilibrium(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        cmd = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
-        np.testing.assert_allclose(cmd.thrust_cmd_n, p.hover_thrust_n, atol=1e-12)
-        np.testing.assert_allclose(cmd.tilt_rate_cmd_radps, 0.0, atol=1e-12)
+        thrust, rates = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
+        np.testing.assert_allclose(thrust, p.hover_thrust_n, atol=1e-12)
+        np.testing.assert_allclose(rates, 0.0, atol=1e-12)
 
     def test_below_target_commands_more_thrust(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 2.0))
-        cmd = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
-        assert np.all(cmd.thrust_cmd_n > p.hover_thrust_n)
+        thrust, _ = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
+        assert all(f > p.hover_thrust_n for f in thrust)
         # Symmetric demand: all four rotors equal.
-        np.testing.assert_allclose(cmd.thrust_cmd_n, cmd.thrust_cmd_n[0])
+        np.testing.assert_allclose(thrust, thrust[0])
 
     def test_tilt_rates_oppose_tilt(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
         st[13:17] = [0.2, -0.1, 0.0, 0.3]
-        cmd = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
-        assert cmd.tilt_rate_cmd_radps[0] < 0
-        assert cmd.tilt_rate_cmd_radps[1] > 0
-        assert cmd.tilt_rate_cmd_radps[2] == 0
-        assert cmd.tilt_rate_cmd_radps[3] < 0
+        _, rates = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
+        assert rates[0] < 0
+        assert rates[1] > 0
+        assert rates[2] == 0
+        assert rates[3] < 0
 
     def test_thrust_clamped_to_range(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 0.0))
         st[3:6] = [0.0, 0.0, -20.0]
-        cmd = ev.pid_controller(st, (0.0, 0.0, 50.0), ev.PidGains(), p)
+        thrust, _ = ev.pid_controller(st, (0.0, 0.0, 50.0), ev.PidGains(), p)
         lo, hi = p.thrust_range_n
-        assert np.all(cmd.thrust_cmd_n >= lo) and np.all(cmd.thrust_cmd_n <= hi)
+        assert all(lo <= f <= hi for f in thrust)
 
     def test_x_step_response_settles(self):
         p = SimParams()
@@ -125,15 +125,15 @@ class TestHoverEval:
     def test_deterministic_and_seeded(self):
         actor = zero_actor(Platform.QUAD)
         p = SimParams()
-        a = ev.run_hover_eval(actor, Platform.QUAD, p, 5, seed=9)
-        b = ev.run_hover_eval(actor, Platform.QUAD, p, 5, seed=9)
+        a = ev.run_hover_eval(actor, p, 5, seed=9)
+        b = ev.run_hover_eval(actor, p, 5, seed=9)
         assert [r.final_error_m for r in a] == [r.final_error_m for r in b]
-        c = ev.run_hover_eval(actor, Platform.QUAD, p, 5, seed=10)
+        c = ev.run_hover_eval(actor, p, 5, seed=10)
         assert [r.final_error_m for r in a] != [r.final_error_m for r in c]
 
     def test_trial_fields(self):
         actor = zero_actor(Platform.QUAD)
-        results = ev.run_hover_eval(actor, Platform.QUAD, SimParams(), 3, seed=1)
+        results = ev.run_hover_eval(actor, SimParams(), 3, seed=1)
         assert [r.trial for r in results] == [0, 1, 2]
         for r in results:
             assert r.final_error_m >= 0.0
@@ -143,7 +143,7 @@ class TestHoverEval:
 
     def test_traces_recorded_on_request(self, tmp_path):
         actor = zero_actor(Platform.QUAD)
-        results = ev.run_hover_eval(actor, Platform.QUAD, SimParams(), 2,
+        results = ev.run_hover_eval(actor, SimParams(), 2,
                                     seed=1, trace_dir=str(tmp_path))
         n_cols = len(TRACE_HEADER.split(","))
         for r in results:
@@ -163,7 +163,9 @@ class TestActorPlatform:
         with pytest.raises(nn.ShapeMismatchError, match="10"):
             ev.actor_platform(actor)
         with pytest.raises(nn.ShapeMismatchError):
-            ev.run_waypoint_mission(actor, ev.default_square_mission(), SimParams())
+            ev.run_waypoint_mission(actor, ev.SQUARE_MISSION, SimParams())
+        with pytest.raises(nn.ShapeMismatchError):
+            ev.run_hover_eval(actor, SimParams(), 1, seed=0)
 
 
 class TestFaultAblation:
@@ -189,19 +191,19 @@ class TestFaultAblation:
             assert all(len(r.servo_ids) == n for r in results)
             assert all(len(set(r.servo_ids)) == n for r in results)
 
-    def test_response_probability_zero_freezes_tilt(self):
+    def test_response_probability_zero_freezes_tilt(self, monkeypatch):
         # A dead servo (response probability 0) never moves: with all four
         # servos faulty and a constant tilt command, tilt angles stay at the
         # zero initialization.
         p = SimParams()
         actor = zero_actor()
         actor.biases[-1][4:] = 0.5
-        _, dead = ev.run_fault_ablation(actor, 4, 2, p, seed=2,
-                                        response_probability=0.0)
+        monkeypatch.setattr(ev, "FAULT_RESPONSE_PROBABILITY", 0.0)
+        _, dead = ev.run_fault_ablation(actor, 4, 2, p, seed=2)
         for r in dead:
             np.testing.assert_array_equal(r.final_tilt_rad, 0.0)
-        _, live = ev.run_fault_ablation(actor, 4, 2, p, seed=2,
-                                        response_probability=1.0)
+        monkeypatch.setattr(ev, "FAULT_RESPONSE_PROBABILITY", 1.0)
+        _, live = ev.run_fault_ablation(actor, 4, 2, p, seed=2)
         for r in live:
             assert np.any(np.asarray(r.final_tilt_rad) != 0.0)
 
@@ -213,31 +215,26 @@ class TestFaultAblation:
 
 class TestWaypointMission:
     def test_default_square(self):
-        m = ev.default_square_mission()
-        assert len(m.waypoints) == 4
-        assert all(w[2] == 3.0 for w in m.waypoints)
-
-    def test_mission_spec_validation(self):
-        with pytest.raises(ValueError):
-            ev.MissionSpec(waypoints=())
-        with pytest.raises(ValueError):
-            ev.MissionSpec(waypoints=((0, 0, 3),), reach_tolerance_m=0.0)
+        m = ev.SQUARE_MISSION
+        assert len(m) == 4
+        assert all(w[2] == 3.0 for w in m)
+        # Corners of a 2 m square around the origin, flown in turn.
+        assert {(abs(x), abs(y)) for x, y, _ in m} == {(1.0, 1.0)}
+        assert len(set(m)) == 4
 
     def test_pid_flies_default_mission(self):
-        res = ev.run_waypoint_mission("pid", ev.default_square_mission(),
-                                      SimParams())
+        res = ev.run_waypoint_mission("pid", ev.SQUARE_MISSION, SimParams())
         assert res.all_visited
         assert res.hits == [True, True, True, True]
         assert res.trace  # full trace recorded
 
     def test_trivial_single_waypoint_at_start(self):
-        m = ev.MissionSpec(waypoints=((0.0, 0.0, 3.0),))
-        res = ev.run_waypoint_mission("pid", m, SimParams())
+        res = ev.run_waypoint_mission("pid", ((0.0, 0.0, 3.0),), SimParams())
         assert res.all_visited
 
     def test_mission_deterministic(self):
-        a = ev.run_waypoint_mission("pid", ev.default_square_mission(), SimParams())
-        b = ev.run_waypoint_mission("pid", ev.default_square_mission(), SimParams())
+        a = ev.run_waypoint_mission("pid", ev.SQUARE_MISSION, SimParams())
+        b = ev.run_waypoint_mission("pid", ev.SQUARE_MISSION, SimParams())
         assert a.trace == b.trace
 
 
@@ -245,10 +242,11 @@ class TestSummaryRows:
     def test_schema(self):
         p = SimParams()
         _, results = ev.run_fault_ablation(zero_actor(), 2, 3, p, seed=0)
-        rows = ev.summary_rows(results, n_faulty=2)
+        rows = ev.summary_rows(results)
         n_cols = len(ev.SUMMARY_HEADER.split(","))
         assert len(rows) == 3
         for row in rows:
             assert len(row.split(",")) == n_cols
-        # servo ids are ;-separated inside one field
+        # n_faulty counts the servo ids, which are ;-separated inside one field
+        assert all(row.split(",")[2] == "2" for row in rows)
         assert all(len(row.split(",")[3].split(";")) == 2 for row in rows)

@@ -74,11 +74,13 @@ class FixedRewardEnv:
     def __init__(self):
         self.y = None
         self.t = 0
+        self.episode_return = 0.0
         self.n_resets = 0
 
     def reset(self):
         self.y = np.zeros(21)
         self.t = 0
+        self.episode_return = 0.0
         self.n_resets += 1
         return self.observe()
 
@@ -87,6 +89,7 @@ class FixedRewardEnv:
 
     def step(self, action):
         self.t += 1
+        self.episode_return += 1.0
         status = TermStatus.MAX_STEPS if self.t >= 5 else TermStatus.RUNNING
         return self.observe(), 1.0, status
 
@@ -122,6 +125,28 @@ class TestCollectRollout:
         assert buf.episode_lengths == [5, 5, 5, 5]
         # Tail steps ended episodes, so no bootstrap.
         np.testing.assert_allclose(buf.bootstrap, 0.0)
+
+    def test_episode_carries_across_rollouts(self):
+        # An episode cut by the end of one rollout is reported by the next
+        # with the return and length of all its steps.
+        envs = make_envs(1, seed=2)
+        policy, critic = make_nets()
+        cfg = ppo.TrainConfig(rollout_horizon=64, n_envs=1)
+        rng = np.random.default_rng(0)
+        first = ppo.collect_rollout(policy, critic, envs, cfg, rng)
+        second = ppo.collect_rollout(policy, critic, envs, cfg, rng)
+        assert first.dones[-1] == 0.0 and second.dones.sum() > 0
+        want, ret, length = [], 0.0, 0
+        for r, done in zip([*first.rewards.tolist(), *second.rewards.tolist()],
+                           [*first.dones.tolist(), *second.dones.tolist()]):
+            ret, length = ret + r, length + 1
+            if done:
+                want.append((ret, length))
+                ret, length = 0.0, 0
+        got = [*zip(first.episode_returns, first.episode_lengths),
+               *zip(second.episode_returns, second.episode_lengths)]
+        assert got == want
+        assert envs[0].episode_return == ret and envs[0].t == length
 
     def test_bootstrap_on_truncation(self):
         envs = [FixedRewardEnv()]
