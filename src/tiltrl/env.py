@@ -49,6 +49,7 @@ class TermStatus(enum.Enum):
     MAX_STEPS = "max_steps"
     OUT_OF_BOUNDS = "out_of_bounds"
     DIVERGED = "diverged"
+    REACHED = "reached"    # evaluation only: the trial or leg reached its goal
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,15 @@ import numpy as np
 from . import neuralnet as nn
 from .dynamics import (NonFiniteError, SimParams, euler_zyx, hover_state,
                        quat_to_rot, step_flat)
-from .env import (EpisodeConfig, Platform, actuator_command, observation,
+from .env import (EpisodeConfig, Platform, TermStatus, actuator_command, observation,
                   reset_state, trace_row, write_trace)
 
 HOVER_TARGET = (0.0, 0.0, 3.0)
 SUCCESS_TOLERANCE_M = 0.2
+# Physical-validity envelope: a vehicle past either bound is lost, and the
+# trial or leg ends as DIVERGED instead of integrating it until RK4 overflows.
+MAX_SPEED_MPS = 50.0
+MAX_BODY_RATE_RADPS = 100.0
 MAX_EVAL_STEPS = 1500
 # Per step, a faulty tilt servo obeys its commanded rate with this probability.
 FAULT_RESPONSE_PROBABILITY = 0.4
@@ -33,12 +37,16 @@ SQUARE_MISSION = ((1.0, 1.0, 3.0), (-1.0, 1.0, 3.0), (-1.0, -1.0, 3.0), (1.0, -1
 class TrialResult:
     trial: int
     seed: int
-    success: bool
+    end: TermStatus              # REACHED, MAX_STEPS or DIVERGED
     steps_to_reach: int          # -1 when the goal was never reached
     final_error_m: float
     final_euler_rad: tuple[float, float, float]
     final_tilt_rad: tuple[float, float, float, float]
     servo_ids: tuple[int, ...] = ()
+
+    @property
+    def success(self) -> bool:
+        return self.end is TermStatus.REACHED
 
 
 def policy_command(actor: nn.Mlp, y: np.ndarray, target,
@@ -53,16 +61,20 @@ def policy_command(actor: nn.Mlp, y: np.ndarray, target,
 def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
                  max_steps: int = MAX_EVAL_STEPS, tolerance: float = SUCCESS_TOLERANCE_M,
                  record_trace: bool = False):
-    """Step the simulator from the flat state y until the target is reached
-    or the budget runs out.
+    """Step the simulator from the flat state y until the target is reached,
+    the state leaves the physical-validity envelope or the budget runs out.
 
     command_fn(y) -> (thrusts, tilt rates, action vector). Returns
-    (flat state, success, steps_to_reach, rows)."""
+    (flat state, end, steps_to_reach, rows): end is REACHED, MAX_STEPS or
+    DIVERGED (past MAX_SPEED_MPS or MAX_BODY_RATE_RADPS after a step, or a
+    non-finite RK4 step), and the trace keeps the row of the last step."""
     target = np.asarray(target, dtype=float)
     tx, ty, tz = target.tolist()
     # A squared distance beyond this band has no norm within the tolerance,
     # so np.linalg.norm, which decides, runs only inside it.
     band = (tolerance * (1 + 1e-9)) ** 2
+    speed2 = MAX_SPEED_MPS * MAX_SPEED_MPS
+    rate2 = MAX_BODY_RATE_RADPS * MAX_BODY_RATE_RADPS
 
     def reached(y):
         px, py, pz = y[0:3].tolist()
@@ -71,24 +83,27 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
 
     rows: list[str] = []
     if reached(y):
-        return y, True, 0, rows
+        return y, TermStatus.REACHED, 0, rows
     for t in range(max_steps):
         thrust, rates, action = command_fn(y)
         try:
             y = step_flat(y, thrust, rates, params)
         except NonFiniteError:
-            return y, False, -1, rows
+            return y, TermStatus.DIVERGED, -1, rows
         if record_trace:
             rows.append(trace_row(t + 1, y, action, 0.0))
         if reached(y):
-            return y, True, t + 1, rows
-    return y, False, -1, rows
+            return y, TermStatus.REACHED, t + 1, rows
+        vx, vy, vz, _, _, _, _, wx, wy, wz = y[3:13].tolist()
+        if vx * vx + vy * vy + vz * vz > speed2 or wx * wx + wy * wy + wz * wz > rate2:
+            return y, TermStatus.DIVERGED, -1, rows
+    return y, TermStatus.MAX_STEPS, -1, rows
 
 
-def _trial_result(trial: int, seed: int, success: bool, steps: int, y: np.ndarray,
+def _trial_result(trial: int, seed: int, end: TermStatus, steps: int, y: np.ndarray,
                   target, servo_ids: tuple[int, ...] = ()) -> TrialResult:
     return TrialResult(
-        trial=trial, seed=seed, success=success, steps_to_reach=steps,
+        trial=trial, seed=seed, end=end, steps_to_reach=steps,
         final_error_m=float(np.linalg.norm(y[0:3] - np.asarray(target))),
         final_euler_rad=euler_zyx(y[6:10]),
         final_tilt_rad=tuple(y[13:17]), servo_ids=servo_ids)
@@ -129,11 +144,11 @@ def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
                     rates[s] = 0.0
             return thrust, rates, a
 
-        final, success, steps, rows = _run_to_goal(
+        final, end, steps, rows = _run_to_goal(
             cmd_fn, y, HOVER_TARGET, params, record_trace=trace_dir is not None)
         if trace_dir is not None:
             write_trace(os.path.join(trace_dir, f"hover_trace_{trial:03d}.csv"), rows)
-        results.append(_trial_result(trial, seed, success, steps, final, HOVER_TARGET,
+        results.append(_trial_result(trial, seed, end, steps, final, HOVER_TARGET,
                                      faulty))
     return results
 
@@ -278,16 +293,16 @@ def run_waypoint_mission(controller, waypoints, params: SimParams,
             def cmd_fn(y, _wp=wp):
                 return policy_command(controller, y, _wp, platform, params)
 
-        y, reached, steps, trace = _run_to_goal(cmd_fn, y, wp, params, record_trace=True)
+        y, end, steps, trace = _run_to_goal(cmd_fn, y, wp, params, record_trace=True)
         rows.extend(trace)
-        hits.append(reached)
-        if not reached:
+        hits.append(end is TermStatus.REACHED)
+        if not hits[-1]:
             break
     return MissionResult(hits=hits, all_visited=len(hits) == len(waypoints)
                          and all(hits), trace=rows)
 
 
-SUMMARY_HEADER = "trial,seed,n_faulty,servo_ids,success,steps_to_reach,final_error_m"
+SUMMARY_HEADER = "trial,seed,n_faulty,servo_ids,success,steps_to_reach,final_error_m,end"
 
 
 def summary_rows(results: list[TrialResult]) -> list[str]:
@@ -295,5 +310,5 @@ def summary_rows(results: list[TrialResult]) -> list[str]:
     for r in results:
         ids = ";".join(str(s) for s in r.servo_ids)
         rows.append(f"{r.trial},{r.seed},{len(r.servo_ids)},{ids},{int(r.success)},"
-                    f"{r.steps_to_reach},{r.final_error_m:.6g}")
+                    f"{r.steps_to_reach},{r.final_error_m:.6g},{r.end.value}")
     return rows

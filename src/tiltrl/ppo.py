@@ -67,11 +67,18 @@ class RolloutBuffer:
     dones: np.ndarray      # (T,) 1.0 where the episode ended at this step
     bootstrap: np.ndarray  # (n_envs,) critic value of each env's tail state
     n_envs: int
+    # (T,) critic value of the final state where a MAX_STEPS ending truncated
+    # the episode at this step; zeros (no truncation) when not given.
+    truncation_values: np.ndarray | None = None
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
     episode_returns: list = field(default_factory=list)
     episode_lengths: list = field(default_factory=list)
     episode_ends: list = field(default_factory=list)   # TermStatus per episode
+
+    def __post_init__(self):
+        if self.truncation_values is None:
+            self.truncation_values = np.zeros(len(self.rewards))
 
     def __len__(self):
         return len(self.rewards)
@@ -82,7 +89,8 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     """Run the env pool for rollout_horizon steps total, sampling actions
     from N(policy(obs), sigma^2 I). Terminated episodes reset in place; each
     env's truncated tail is bootstrapped with the critic value (zero if the
-    tail step ended an episode, including divergence).
+    tail step ended an episode, including divergence), and so is each
+    episode that MAX_STEPS truncated, from the state it ended in.
 
     The pool steps in lockstep: at each time step one actor forward and one
     critic forward run on the stacked observations, shaped (n_envs, 1,
@@ -99,6 +107,7 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     rew_buf = np.empty((n_envs, steps_per_env))
     val_buf = np.empty((n_envs, steps_per_env))
     done_buf = np.zeros((n_envs, steps_per_env))
+    trunc_buf = np.zeros((n_envs, steps_per_env))
     noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
     act_buf = np.empty_like(noise)
     episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in envs]
@@ -118,6 +127,8 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
             if status is not TermStatus.RUNNING:
                 done_buf[e, t] = 1.0
                 episodes[e].append((env.episode_return, env.t, status))
+                if status is TermStatus.MAX_STEPS:
+                    trunc_buf[e, t] = nn.forward(critic, ob)[0]
                 ob = env.reset()
             obs[e] = ob
     tail = nn.forward(critic, obs[:, None, :])[:, 0, 0]
@@ -131,6 +142,7 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
                          nn.gaussian_log_prob(mean_buf, cfg.sigma, act_buf),
                          rew_buf.reshape(t_total), val_buf.reshape(t_total),
                          done_buf.reshape(t_total), bootstrap, n_envs,
+                         trunc_buf.reshape(t_total),
                          episode_returns=[r for r, _, _ in ended],
                          episode_lengths=[n for _, n, _ in ended],
                          episode_ends=[s for _, _, s in ended])
@@ -139,12 +151,15 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
 def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
     """GAE over each env's contiguous segment.
 
-    delta_t = r_t + gamma*V(s_{t+1})*(1-done_t) - V(s_t)
-    A_t = delta_t + gamma*lam*(1-done_t)*A_{t+1};  returns = A + V.
+    delta_t = r_t + gamma*V_trunc_t + gamma*V(s_{t+1})*(1-done_t) - V(s_t)
+    A_t = delta_t + gamma*lam*(1-done_t)*A_{t+1};  returns = A + V,
+    where V_trunc_t is the value of the final state of an episode that
+    MAX_STEPS truncated at step t, else zero.
     """
     t_total = len(buffer)
     seg = t_total // buffer.n_envs
     adv = np.zeros(t_total)
+    rewards = buffer.rewards + gamma * buffer.truncation_values
     for e in range(buffer.n_envs):
         base = e * seg
         next_value = buffer.bootstrap[e]
@@ -152,7 +167,7 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
         for t in range(seg - 1, -1, -1):
             i = base + t
             nonterm = 1.0 - buffer.dones[i]
-            delta = buffer.rewards[i] + gamma * next_value * nonterm - buffer.values[i]
+            delta = rewards[i] + gamma * next_value * nonterm - buffer.values[i]
             acc = delta + gamma * lam * nonterm * acc
             adv[i] = acc
             next_value = buffer.values[i]

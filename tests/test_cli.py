@@ -117,35 +117,38 @@ def test_same_seed_golden_checkpoints(tmp_path):
 
 
 # sha256 of every evaluation output for fixed-seed actors, recorded under
-# GOLDEN_NUMPY before the evaluation step was rewritten in scalar code. A
-# change that alters a trial, a trace value or its formatting shows up here.
+# GOLDEN_NUMPY before the evaluation step was rewritten in scalar code. Every
+# policy trial here leaves the physical-validity envelope, so its files were
+# re-recorded when the envelope came in: each trace is a byte prefix of the
+# one before, and the PID mission's trace kept its hash. A change that alters
+# a trial, a trace value or its formatting shows up here.
 GOLDEN_EVAL_SHA256 = {
     "developmental/ablate/summary.csv":
-        "65449fc4c65d2f5b87c2fbaeb765d0b8f6f2c510d873b00d8e381e16d9c1356d",
+        "ddc55245f956db69c8f8a683608a476c7298686f3232e7d1672bae07d91449b3",
     "developmental/hover/hover_trace_000.csv":
-        "283c32ec1b27b683fd90046f5095326dfaf9526bf51ef34d7e1a147035bb9a45",
+        "26226d6084e26ab50b4d05f4617658ee62c4153d6bd6a28e3395156340c3b773",
     "developmental/hover/hover_trace_001.csv":
-        "c071e866bd14fe42fc641ab1a4f9b8f23fc00c2b365cdfa28438ec3b22924509",
+        "36dfe335de79066abc13e7e48b64ff352a2b9188d8a7277a3458dc00f71350c0",
     "developmental/hover/hover_trace_002.csv":
-        "7f18b0374aa1b0ca7ed04f78bce1715abe7a64e0e5b65f89ef5a40bdf6892bcc",
+        "e69e0c6d5cd5a07e09e591bc858c323ead12799a0cfa642c64402344b5dfb7ec",
     "developmental/hover/summary.csv":
-        "d43a9d4b574cf78299fb9129a43b5b656fdf2e6f6c3cd34c77ab86cc16c5e5a7",
+        "e3db367261a9c2234614506e19f35f0ea30a1cf314010a03fbf4b37bfca47f9f",
     "developmental/waypoint/waypoint_trace.csv":
-        "5697c5c3f8359c38dc153b1107847ccbc513680aa4213e2bfb6e80c2c920ab76",
+        "400778e5519c8229cd94deb59a67492f73ce34a34f78e2ff46c5cb394279b11b",
     "pid/waypoint_trace.csv":
         "34ae07a807aa0af627249af7b1dd4e0a0a76a8243421f62ba5e4103dac88d925",
     "scratch/ablate/summary.csv":
-        "fff5d7f93d15a9533089620440d2fea927bdf59c72d19a2cfa58f1b64eb44504",
+        "f442a7243d9ac9946fb4c1a84780223893e03264c71dd2cb242dd901ab4c6330",
     "scratch/hover/hover_trace_000.csv":
-        "39258ad1b2d766237936284425151e4e39417b5e3fa7fa6cbc9d8dd30262818c",
+        "13c9f9e3dff7354f98460d93897a505c83aeeaec06d290e51b98fc7046806c06",
     "scratch/hover/hover_trace_001.csv":
-        "4b74c38f9ec7007b7d7392448df43bdc3cb5ef9a6431bfdfd6bc5244deb377fe",
+        "c41685f2059575ba5743490dced2c0e7da7fff9df6830c70e8f5e4ea87c17f9d",
     "scratch/hover/hover_trace_002.csv":
-        "b940fecd7822c2b048cba722c72740f96f5514aefef132245057e0a0e044e639",
+        "fc5f8b171aa35673fed7c18a05745688e9b0b2185a07584c0942d9c830ac7515",
     "scratch/hover/summary.csv":
-        "e120d5cacec88d31834d77e86da5116828bd590117c874ff3af3916e5ee66f29",
+        "96c4eaf57c737b62a6ca7c52e583a91e118dab78e891f54063ed4f397bbe428f",
     "scratch/waypoint/waypoint_trace.csv":
-        "b23647bb70ef403876f9ad9774882a56f015ac3aded005bc92c57e3cc76e1a9d",
+        "81098374e86c8f16b3816e3e189b80cf0790d2fae6098b7611eb3b3ea54a2e50",
 }
 
 

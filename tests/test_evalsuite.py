@@ -1,10 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import tiltrl.neuralnet as nn
 from tiltrl import evalsuite as ev
 from tiltrl.dynamics import SimParams, hover_state, quat_from_euler_zyx
-from tiltrl.env import TRACE_HEADER, Platform
+from tiltrl.env import TRACE_HEADER, Platform, TermStatus
 
 
 def zero_actor(platform=Platform.TILT_ROTOR):
@@ -14,6 +17,12 @@ def zero_actor(platform=Platform.TILT_ROTOR):
     net.weights[-1][:] = 0.0
     net.biases[-1][:] = 0.0
     return net
+
+
+def blowup_actor():
+    """Untrained tilt-rotor actor whose trials spin the vehicle up until RK4
+    overflows when nothing stops them."""
+    return nn.make_mlp([22, 64, 64, 8], np.random.default_rng(22), output_tanh=True)
 
 
 def pid_command(target, p):
@@ -58,44 +67,43 @@ class TestPidController:
     def test_x_step_response_settles(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        final, ok, steps, _ = ev._run_to_goal(
+        _, end, steps, _ = ev._run_to_goal(
             pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p,
             max_steps=1500, tolerance=0.1)
-        assert ok and 0 < steps < 1500
+        assert end is TermStatus.REACHED and 0 < steps < 1500
 
     def test_attitude_recovery_from_roll(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
         st[6:10] = quat_from_euler_zyx(0.3, 0.0, 0.0)
-        final, ok, steps, _ = ev._run_to_goal(
+        _, end, _, _ = ev._run_to_goal(
             pid_command((0.0, 0.0, 3.0), p), st, (0.0, 0.0, 3.0), p)
-        assert ok
+        assert end is TermStatus.REACHED
 
 
 class TestRunToGoal:
     def test_immediate_success_at_target(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        _, ok, steps, _ = ev._run_to_goal(
+        _, end, steps, _ = ev._run_to_goal(
             pid_command((0.0, 0.0, 3.0), p), st, (0.0, 0.0, 3.0), p)
-        assert ok and steps == 0
+        assert end is TermStatus.REACHED and steps == 0
 
     def test_stops_at_reach(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        _, ok, steps, rows = ev._run_to_goal(
+        _, end, steps, rows = ev._run_to_goal(
             pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p,
             record_trace=True)
-        assert ok
+        assert end is TermStatus.REACHED
         assert len(rows) == steps
 
     def test_budget_exhaustion_fails(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        _, ok, steps, _ = ev._run_to_goal(
+        _, end, steps, _ = ev._run_to_goal(
             pid_command((100.0, 0.0, 3.0), p), st, (100.0, 0.0, 3.0), p, max_steps=50)
-        assert not ok and steps == -1
-
+        assert end is TermStatus.MAX_STEPS and steps == -1
 
     def test_reach_decision_at_the_tolerance_is_the_norms(self):
         # Points on the 0.2 m sphere and one ulp of radius inside and
@@ -113,12 +121,81 @@ class TestRunToGoal:
                 st = hover_state(p, target + u * radius)
                 d = st[0:3] - target
                 want = bool(np.linalg.norm(d) <= tol)
-                _, ok, steps, _ = ev._run_to_goal(pid_command(target, p), st, target, p,
-                                                  max_steps=0)
-                assert ok == want and steps == (0 if want else -1)
+                _, end, steps, _ = ev._run_to_goal(pid_command(target, p), st, target, p,
+                                                   max_steps=0)
+                assert (end is TermStatus.REACHED) == want and steps == (0 if want else -1)
                 d0, d1, d2 = d.tolist()
                 scalar_differs += (d0 * d0 + d1 * d1 + d2 * d2 <= tol * tol) != want
         assert scalar_differs > 0
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("block, value", [(slice(3, 6), (0.0, 60.0, 0.0)),
+                                              (slice(10, 13), (0.0, 0.0, 150.0))])
+    def test_state_past_a_bound_ends_after_one_step(self, block, value):
+        p = SimParams()
+        st = hover_state(p, (0.0, 0.0, 3.0))
+        st[block] = value
+        target = (5.0, 0.0, 3.0)
+        _, end, steps, rows = ev._run_to_goal(pid_command(target, p), st, target, p,
+                                              record_trace=True)
+        assert end is TermStatus.DIVERGED and steps == -1
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("speed, rate", [(50.0, 100.0), (50.0, math.inf),
+                                             (math.inf, 100.0)])
+    def test_rows_are_a_prefix_ending_at_the_first_crossing(self, monkeypatch, speed, rate):
+        # Oracle: with both bounds at infinity the envelope never fires, and
+        # the loop integrates the lost vehicle until RK4 overflows (warnings
+        # silenced there). With the bounds in place the trial must stop at
+        # the first post-step state past an enabled bound, keeping its row.
+        p = SimParams()
+        actor = blowup_actor()
+        start = hover_state(p, (0.5, -0.3, 2.6))
+
+        def run(seen):
+            def cmd(y):
+                seen.append(y)
+                return ev.policy_command(actor, y, ev.HOVER_TARGET, Platform.TILT_ROTOR, p)
+            return ev._run_to_goal(cmd, start, ev.HOVER_TARGET, p, record_trace=True)
+
+        monkeypatch.setattr(ev, "MAX_SPEED_MPS", math.inf)
+        monkeypatch.setattr(ev, "MAX_BODY_RATE_RADPS", math.inf)
+        seen = []
+        with np.errstate(all="ignore"):
+            final, end, _, oracle = run(seen)
+        # The overflowing step raised, so the trial ended on the state it
+        # was commanded from; every step before it left one row.
+        assert end is TermStatus.DIVERGED and final is seen[-1]
+        post = seen[1:]                     # post[k]: the state after step k + 1
+        assert len(post) == len(oracle)
+
+        def past(y):
+            vx, vy, vz = y[3:6].tolist()
+            wx, wy, wz = y[10:13].tolist()
+            return (vx * vx + vy * vy + vz * vz > speed * speed
+                    or wx * wx + wy * wy + wz * wz > rate * rate)
+        k = next(i for i, y in enumerate(post) if past(y))
+        assert 0 < k < len(oracle) - 1
+
+        monkeypatch.setattr(ev, "MAX_SPEED_MPS", speed)
+        monkeypatch.setattr(ev, "MAX_BODY_RATE_RADPS", rate)
+        final, end, steps, rows = run([])
+        assert end is TermStatus.DIVERGED and steps == -1
+        assert rows == oracle[:k + 1]
+        np.testing.assert_array_equal(final, post[k])
+
+    def test_protocols_on_a_blowing_up_actor_warn_nothing(self):
+        p = SimParams()
+        actor = blowup_actor()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hover = ev.run_hover_eval(actor, p, 2, seed=7)
+            _, ablation = ev.run_fault_ablation(actor, 2, 2, p, seed=7)
+            mission = ev.run_waypoint_mission(actor, ev.SQUARE_MISSION, p)
+        for r in hover + ablation:
+            assert r.end is TermStatus.DIVERGED and math.isfinite(r.final_error_m)
+        assert mission.hits == [False]
 
 
 class TestHoverEval:
@@ -247,6 +324,8 @@ class TestSummaryRows:
         assert len(rows) == 3
         for row in rows:
             assert len(row.split(",")) == n_cols
+        assert ev.SUMMARY_HEADER.endswith(",end")
+        assert [row.split(",")[-1] for row in rows] == [r.end.value for r in results]
         # n_faulty counts the servo ids, which are ;-separated inside one field
         assert all(row.split(",")[2] == "2" for row in rows)
         assert all(len(row.split(",")[3].split(";")) == 2 for row in rows)

@@ -8,7 +8,7 @@ import pytest
 import tiltrl.neuralnet as nn
 from tiltrl import cli
 from tiltrl.config import default_config, write_config
-from tiltrl.env import write_trace
+from tiltrl.env import TermStatus, write_trace
 from tiltrl.evalsuite import TrialResult
 from tiltrl.ppo import TrainConfig
 from tiltrl.transfer import TransferReport
@@ -339,8 +339,9 @@ def _report(version):
 
 
 _NET = make_mlp([3, 4, 2], np.random.default_rng(0))
-_TRIAL = TrialResult(trial=0, seed=7, success=True, steps_to_reach=1, final_error_m=0.1,
-                     final_euler_rad=(0.0, 0.0, 0.0), final_tilt_rad=(0.0,) * 4)
+_TRIAL = TrialResult(trial=0, seed=7, end=TermStatus.REACHED, steps_to_reach=1,
+                     final_error_m=0.1, final_euler_rad=(0.0, 0.0, 0.0),
+                     final_tilt_rad=(0.0,) * 4)
 
 # name -> write(dir, version): each writes its artifact(s) into dir, with
 # contents that depend on version.

@@ -279,6 +279,39 @@ class TestGae:
             worst = max(worst, np.abs(adv - oracle).max())
         assert worst < 1e-10
 
+    def test_truncation_bootstraps_from_final_state(self):
+        # FixedRewardEnv ends every episode after 5 steps as MAX_STEPS, with
+        # reward 1 and one constant observation, so the critic reads the same
+        # value v at every state. A truncated episode is cut, not over: its
+        # last step bootstraps from v, so every step of it has
+        #   delta = 1 + gamma*v - v,  A_t = delta + gamma*lam*A_{t+1},
+        # with the recursion cut at the truncation step.
+        envs = [FixedRewardEnv(), FixedRewardEnv()]
+        rng = np.random.default_rng(1)
+        policy = nn.make_mlp([3, 4, 2], rng, output_tanh=True)
+        critic = nn.make_mlp([3, 4, 1], rng, output_tanh=False)
+        cfg = ppo.TrainConfig(rollout_horizon=20, n_envs=2)
+        buf = ppo.collect_rollout(policy, critic, envs, cfg, np.random.default_rng(0))
+        gamma, lam = 0.95, 0.9
+        adv, ret = ppo.compute_gae(buf, gamma, lam)
+
+        v = float(nn.forward(critic, envs[0].observe())[0])
+        assert abs(v) > 1e-3
+        truncated = buf.dones == 1.0
+        assert truncated.sum() == 4
+        delta = 1.0 + gamma * v - v
+        episode, acc = [], 0.0
+        for _ in range(5):
+            acc = delta + gamma * lam * acc
+            episode.insert(0, acc)
+        np.testing.assert_allclose(adv[truncated], delta, rtol=1e-12)
+        np.testing.assert_allclose(adv, episode * 4, rtol=1e-12)
+        np.testing.assert_allclose(ret, adv + buf.values, rtol=1e-12)
+
+        np.testing.assert_allclose(buf.truncation_values[truncated], v, rtol=1e-12)
+        np.testing.assert_array_equal(buf.truncation_values[~truncated], 0.0)
+        np.testing.assert_allclose(buf.rewards, 1.0)   # rewards and dones stay as stepped
+
     def test_segments_independent(self):
         # Two envs: env 1's data must not leak into env 0's advantages.
         rng = np.random.default_rng(1)
