@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -24,7 +26,6 @@ import sys
 
 import numpy as np
 
-from . import __version__
 from . import neuralnet as nn
 from . import ppo, transfer
 from .config import ConfigError, RunConfig, as_flat_dict, default_config, \
@@ -32,7 +33,7 @@ from .config import ConfigError, RunConfig, as_flat_dict, default_config, \
 from .env import EpisodeCounter, HoverEnv, Platform, write_trace
 from .evalsuite import (SQUARE_MISSION, SUMMARY_HEADER, run_fault_ablation,
                         run_hover_eval, run_waypoint_mission, summary_rows)
-from .neuralnet import ShapeMismatchError, atomic_open
+from .neuralnet import CheckpointError, ShapeMismatchError, atomic_open
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +50,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def make_envs(platform: Platform, cfg: RunConfig, seed: int) -> list[HoverEnv]:
     """Independent env pool; RNGs split deterministically from the seed."""
     counter = EpisodeCounter()
@@ -57,96 +65,94 @@ def make_envs(platform: Platform, cfg: RunConfig, seed: int) -> list[HoverEnv]:
                      np.random.default_rng(s), counter) for s in seqs]
 
 
-def write_manifest(out_dir: str, stage: str, seed: int, cfg: RunConfig,
-                   artifacts: dict) -> None:
-    manifest = {
-        "code_version": __version__,
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def source_sha256() -> str:
+    """sha256 over the package's *.py files, sorted by name, each fed as its
+    name, a NUL byte and its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
+def _resolved_config(args) -> RunConfig:
+    cfg = load_config(args.config)
+    seed = cfg.train.seed if args.seed is None else args.seed
+    steps = args.steps or cfg.train.total_steps
+    return dataclasses.replace(cfg, train=dataclasses.replace(
+        cfg.train, seed=seed, total_steps=steps))
+
+
+def stage_manifest(args, cfg: RunConfig | None = None) -> dict:
+    """The manifest.json that `train-quad` or `train-tilt` with these parsed
+    args writes before it trains (cfg: their resolved config). It records
+    the run's inputs and no output path; the run adds "completed": true
+    once its final checkpoint is written."""
+    cfg = cfg or _resolved_config(args)
+    source = getattr(args, "from_checkpoint", None)
+    return {
+        "source_sha256": source_sha256(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "stage": stage,
-        "seed": seed,
+        "stage": ("quad" if args.command == "train-quad" else
+                  "tilt_developmental" if source else "tilt_scratch"),
+        "seed": cfg.train.seed,
+        "from_checkpoint_sha256": _sha256(source) if source else None,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in as_flat_dict(cfg).items()},
-        "artifacts": artifacts,
+        "artifacts": {"train_log": "train_log.csv",
+                      "final_checkpoint": "checkpoint_final.bin"},
     }
+
+
+def write_manifest(out_dir: str, manifest: dict) -> None:
     with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2)
 
 
-def _resolved_config(args) -> tuple[RunConfig, int]:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.train.seed
-    train_cfg = dataclasses.replace(cfg.train, seed=seed)
-    if getattr(args, "steps", None) is not None:
-        train_cfg = dataclasses.replace(train_cfg, total_steps=args.steps)
-    return dataclasses.replace(cfg, train=train_cfg), seed
-
-
-def _train_rngs(seed: int):
+def cmd_train(args) -> int:
+    """One training stage: quad, developmental transfer (--from) or scratch."""
+    cfg = _resolved_config(args)
+    manifest = stage_manifest(args, cfg)
+    source = getattr(args, "from_checkpoint", None)
+    quad_nets = nn.load_checkpoint(source)[0] if source else None
+    os.makedirs(args.out, exist_ok=True)
+    write_manifest(args.out, manifest)
+    seed, h = cfg.train.seed, cfg.train.hidden_sizes
     init_seq, train_seq = np.random.SeedSequence([seed, 0x7A1]).spawn(2)
-    return np.random.default_rng(init_seq), np.random.default_rng(train_seq)
-
-
-def _save(path, policy, critic, p_opt, c_opt, seed, steps):
-    nn.save_checkpoint(path, {"actor": (policy, p_opt), "critic": (critic, c_opt)},
-                       seed, steps)
-
-
-def _run_training(out_dir, platform, cfg: RunConfig, seed, policy, critic,
-                  train_rng) -> None:
-    p_opt = nn.AdamState.for_net(policy)
-    c_opt = nn.AdamState.for_net(critic)
-    envs = make_envs(platform, cfg, seed)
-
-    def checkpoint_fn(u, pol, cri, po, co):
-        _save(os.path.join(out_dir, f"checkpoint_{u + 1:05d}.bin"),
-              pol, cri, po, co, seed,
-              (u + 1) * cfg.train.rollout_horizon)
-
-    log = ppo.train(envs, policy, critic, cfg.train, train_rng,
-                    policy_opt=p_opt, critic_opt=c_opt,
-                    log_path=os.path.join(out_dir, "train_log.csv"),
-                    checkpoint_fn=checkpoint_fn)
-    steps = log[-1].env_steps if log else 0
-    _save(os.path.join(out_dir, "checkpoint_final.bin"),
-          policy, critic, p_opt, c_opt, seed, steps)
-
-
-def cmd_train_quad(args) -> int:
-    cfg, seed = _resolved_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(args.out, "quad", seed, cfg, {
-        "train_log": "train_log.csv", "final_checkpoint": "checkpoint_final.bin"})
-    init_rng, train_rng = _train_rngs(seed)
-    h = cfg.train.hidden_sizes
-    quad = Platform.QUAD
-    policy = nn.make_mlp([quad.obs_dim, *h, quad.act_dim], init_rng, output_tanh=True)
-    critic = nn.make_mlp([quad.obs_dim, *h, 1], init_rng, output_tanh=False)
-    _run_training(args.out, quad, cfg, seed, policy, critic, train_rng)
-    return 0
-
-
-def cmd_train_tilt(args) -> int:
-    cfg, seed = _resolved_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    stage = "tilt_developmental" if args.from_checkpoint else "tilt_scratch"
-    write_manifest(args.out, stage, seed, cfg, {
-        "train_log": "train_log.csv", "final_checkpoint": "checkpoint_final.bin"})
-    init_rng, train_rng = _train_rngs(seed)
-    if args.from_checkpoint:
-        nets, _, _ = nn.load_checkpoint(args.from_checkpoint)
-        quad_actor, _ = nets["actor"]
-        quad_critic, _ = nets["critic"]
-        policy, actor_report = transfer.build_tilt_actor(quad_actor, init_rng)
-        critic, critic_report = transfer.build_tilt_critic(quad_critic, init_rng)
+    init_rng = np.random.default_rng(init_seq)
+    vehicle = Platform.QUAD if manifest["stage"] == "quad" else Platform.TILT_ROTOR
+    if source:
+        policy, actor_report = transfer.build_tilt_actor(quad_nets["actor"][0], init_rng)
+        critic, critic_report = transfer.build_tilt_critic(quad_nets["critic"][0], init_rng)
         _write_transfer_reports(args.out, actor_report, critic_report)
     else:
-        h = cfg.train.hidden_sizes
-        tilt = Platform.TILT_ROTOR
-        policy = nn.make_mlp([tilt.obs_dim, *h, tilt.act_dim], init_rng, output_tanh=True)
-        critic = nn.make_mlp([tilt.obs_dim, *h, 1], init_rng, output_tanh=False)
-    _run_training(args.out, Platform.TILT_ROTOR, cfg, seed, policy, critic, train_rng)
+        policy = nn.make_mlp([vehicle.obs_dim, *h, vehicle.act_dim], init_rng,
+                             output_tanh=True)
+        critic = nn.make_mlp([vehicle.obs_dim, *h, 1], init_rng, output_tanh=False)
+    p_opt, c_opt = nn.AdamState.for_net(policy), nn.AdamState.for_net(critic)
+
+    def save(name, steps):
+        nn.save_checkpoint(os.path.join(args.out, name),
+                           {"actor": (policy, p_opt), "critic": (critic, c_opt)}, seed, steps)
+
+    log = ppo.train(make_envs(vehicle, cfg, seed), policy, critic, cfg.train,
+                    np.random.default_rng(train_seq), policy_opt=p_opt, critic_opt=c_opt,
+                    log_path=os.path.join(args.out, "train_log.csv"),
+                    checkpoint_fn=lambda u, *_: save(f"checkpoint_{u + 1:05d}.bin",
+                                                     (u + 1) * cfg.train.rollout_horizon))
+    save("checkpoint_final.bin", log[-1].env_steps if log else 0)
+    write_manifest(args.out, {**manifest, "completed": True})
     return 0
+
+
+# The two commands keep their own names, which the benchmark's tracer wraps.
+cmd_train_quad = cmd_train_tilt = cmd_train
 
 
 def _write_transfer_reports(out_dir, actor_report, critic_report) -> None:
@@ -165,15 +171,15 @@ def _load_actor(path) -> nn.Mlp:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.train.seed
-
-    if args.mode == "waypoint" and args.controller == "pid":
+    if args.controller == "pid":
         actor = None
     else:
         if args.checkpoint is None:
-            raise ConfigError("a checkpoint is required unless --controller pid")
+            raise ConfigError("a checkpoint is required unless --mode waypoint"
+                              " --controller pid")
         actor = _load_actor(args.checkpoint)
+    os.makedirs(args.out, exist_ok=True)
 
     if args.mode == "hover":
         results = run_hover_eval(actor, cfg.sim, args.trials, seed, trace_dir=args.out)
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=seed_int, default=None)
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-quad", help="train the quadcopter policy from scratch")
@@ -245,9 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "controller", None) == "pid" and args.mode != "waypoint":
+        parser.error("--controller pid needs --mode waypoint")
     try:
         return args.func(args)
-    except (ConfigError, ShapeMismatchError) as exc:
+    except (ConfigError, ShapeMismatchError, CheckpointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

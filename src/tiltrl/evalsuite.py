@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neuralnet as nn
-from .dynamics import (NonFiniteError, SimParams, euler_zyx, hover_state,
-                       quat_to_rot, step_flat)
+from .dynamics import NonFiniteError, SimParams, hover_state, quat_to_rot, step_flat
 from .env import (EpisodeConfig, Platform, TermStatus, actuator_command, observation,
                   reset_state, trace_row, write_trace)
 
@@ -40,7 +39,6 @@ class TrialResult:
     end: TermStatus              # REACHED, MAX_STEPS or DIVERGED
     steps_to_reach: int          # -1 when the goal was never reached
     final_error_m: float
-    final_euler_rad: tuple[float, float, float]
     final_tilt_rad: tuple[float, float, float, float]
     servo_ids: tuple[int, ...] = ()
 
@@ -105,7 +103,6 @@ def _trial_result(trial: int, seed: int, end: TermStatus, steps: int, y: np.ndar
     return TrialResult(
         trial=trial, seed=seed, end=end, steps_to_reach=steps,
         final_error_m=float(np.linalg.norm(y[0:3] - np.asarray(target))),
-        final_euler_rad=euler_zyx(y[6:10]),
         final_tilt_rad=tuple(y[13:17]), servo_ids=servo_ids)
 
 

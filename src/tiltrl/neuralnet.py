@@ -48,6 +48,10 @@ class ShapeMismatchError(ValueError):
     """A network, input or upstream shape does not match what an operation requires."""
 
 
+class CheckpointError(ValueError):
+    """A file load_checkpoint cannot read: bad magic, unsupported version or truncated."""
+
+
 def _flatten(ws, bs, dtype) -> np.ndarray:
     return np.concatenate([np.ravel(a) for layer in zip(ws, bs) for a in layer], dtype=dtype)
 
@@ -245,18 +249,25 @@ def _pack_net(fh, name: str, net: Mlp, opt: AdamState | None) -> None:
                 fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"truncated checkpoint {fh.name!r}")
+    return data
+
+
 def _read(fh, fmt):
-    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
 def _read_into(fh, dst: np.ndarray, dtype="<f8") -> None:
-    dst[...] = np.frombuffer(fh.read(dst.size * np.dtype(dtype).itemsize),
+    dst[...] = np.frombuffer(_read_exact(fh, dst.size * np.dtype(dtype).itemsize),
                              dtype=dtype).reshape(dst.shape)
 
 
 def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
     (name_len,) = _read(fh, "<B")
-    name = fh.read(name_len).decode("ascii")
+    name = _read_exact(fh, name_len).decode("ascii")
     output_tanh, n_layers = _read(fh, "<BB")
     net = Mlp.zeros([_read(fh, "<II") for _ in range(n_layers)], bool(output_tanh))
     for layer in zip(net.weights, net.biases, net.frozen_w, net.frozen_b):
@@ -302,14 +313,15 @@ def save_checkpoint(path, nets: dict[str, tuple[Mlp, AdamState | None]],
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (nets dict, seed, train_step)."""
+    """Read a checkpoint; returns (nets dict, seed, train_step). Raises
+    CheckpointError for a file that is not a whole checkpoint of this version."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+            raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
         version, seed, train_step, n_nets = _read(fh, "<IQQB")
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         nets = {}
         for _ in range(n_nets):
             name, net, opt = _unpack_net(fh)

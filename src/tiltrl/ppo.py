@@ -51,6 +51,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.rollout_horizon % self.n_envs != 0:
             raise ValueError("rollout_horizon must be divisible by n_envs")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass

@@ -4,21 +4,19 @@ single "[ACCEPTANCE] name: PASS/FAIL" line on stdout.
 The training-dependent criteria share desk-scale artifacts (3 seeds x 5e5
 steps for the quadcopter stage plus developmental and scratch tilt-rotor
 stages). Those runs take minutes each, so artifacts are cached under
-TILTRL_ACCEPTANCE_CACHE (default: /tmp/tiltrl_acceptance). Each run directory
-holds a key, a sha256 over the package sources, the stage's command line and
-budgets, the numpy version, the TILTRL_* config overrides in the environment
-(which the training child inherits) and, for a developmental stage, its quad
-stage's key. A directory whose key is missing or differs is deleted and retrained.
-Stale stages train in child processes, up to one per seed at a time, and
-the fault-ablation cells run as child `tiltrl eval` processes side by side.
-Delete the cache directory to force a full retrain.
+TILTRL_ACCEPTANCE_CACHE (default: /tmp/tiltrl_acceptance). A stage is current
+when its manifest.json equals, with "completed": true, the one its command
+line would write now (`cli.stage_manifest`: sources, versions, resolved config
+with TILTRL_* overrides, the transfer source's bytes); any other run directory
+is deleted and retrained. Stale stages train in child processes, up to one per
+seed at a time, and the fault-ablation cells run as child `tiltrl eval`
+processes side by side. Delete the cache directory to force a full retrain.
 """
 
 import csv
+import dataclasses
 import glob
-import hashlib
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -30,7 +28,8 @@ import pytest
 
 import tiltrl
 import tiltrl.neuralnet as nn
-from tiltrl import ppo, transfer
+from tiltrl import cli, ppo, transfer
+from tiltrl.config import default_config, write_config
 from tiltrl.dynamics import (SimParams, derivative, hover_state, quat_to_rot,
                              step_flat)
 from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
@@ -43,7 +42,7 @@ pytestmark = pytest.mark.acceptance
 CACHE = os.path.abspath(os.environ.get("TILTRL_ACCEPTANCE_CACHE",
                                        "/tmp/tiltrl_acceptance"))
 SRC_DIR = os.path.dirname(os.path.abspath(tiltrl.__file__))
-KEY_FILE = "cache_key.txt"
+CONFIG_NAME = "snapshots.cfg"
 SEEDS = (1, 2, 3)
 DESK_STEPS = 500_000
 SNAP_EVERY = 2            # checkpoint every 2 updates -> ~15 curve points
@@ -59,62 +58,41 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 # --- shared desk-scale artifacts ---------------------------------------------
 
-def _cli_env(steps: int):
-    return {
-        "TILTRL_TOTAL_STEPS": str(steps),
-        "TILTRL_CHECKPOINT_EVERY": str(SNAP_EVERY),
-    }
-
-
-def _cli(argv, overrides=None) -> int:
-    """Run `tiltrl argv` in a child process inside CACHE, so that commands
-    can run side by side and argv can name checkpoints relative to CACHE."""
-    env = {**os.environ, **(overrides or {}),
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               os.path.dirname(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+def _cli(argv) -> int:
+    """Run `tiltrl argv` in a child process, so commands run side by side."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(SRC_DIR), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "tiltrl.cli", *argv],
-                          cwd=CACHE, env=env).returncode
+                          env=env).returncode
 
 
-def _train(argv, steps=DESK_STEPS):
-    """Run one CLI training in a child process (see _cli)."""
-    rc = _cli(argv, _cli_env(steps))
-    assert rc == 0, f"training command failed: {argv}"
+def _write_snapshot_config() -> None:
+    """Every stage trains from the default config with checkpoint_every =
+    SNAP_EVERY, written into the cache."""
+    os.makedirs(CACHE, exist_ok=True)
+    cfg = default_config()
+    write_config(dataclasses.replace(cfg, train=dataclasses.replace(
+        cfg.train, checkpoint_every=SNAP_EVERY)), os.path.join(CACHE, CONFIG_NAME))
 
 
-def _stage_key(argv, parent_key: str = "") -> str:
-    """sha256 over every package source file (sorted by name), the stage's
-    argv, the step budget, the snapshot cadence, the numpy version, the
-    sorted TILTRL_* config overrides the training child sees (see _cli) and
-    the key of the stage this one starts from. TILTRL_ACCEPTANCE_CACHE only
-    locates the cache, so it is left out."""
-    h = hashlib.sha256()
-    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        h.update(f"{os.path.basename(path)}:{len(data)}:".encode())
-        h.update(data)
-    child_env = {**os.environ, **_cli_env(DESK_STEPS)}
-    overrides = sorted((k, v) for k, v in child_env.items()
-                       if k.startswith("TILTRL_") and k != "TILTRL_ACCEPTANCE_CACHE")
-    h.update(json.dumps([argv, DESK_STEPS, SNAP_EVERY, np.__version__,
-                         parent_key, overrides]).encode())
-    return h.hexdigest()
+def _is_current(argv) -> bool:
+    """Whether argv's --out directory holds a completed run of the inputs
+    argv resolves to now."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        with open(os.path.join(args.out, "manifest.json")) as fh:
+            stored = json.load(fh)
+    except FileNotFoundError:
+        return False
+    return stored == {**cli.stage_manifest(args), "completed": True}
 
 
-def _ensure_stage(run_dir: str, argv, key: str) -> None:
-    """Train argv into run_dir unless it holds a run with this key. A stale
-    or unkeyed directory, its cached eval curve included, is removed first;
-    the key is written only once training has finished."""
-    key_path = os.path.join(run_dir, KEY_FILE)
-    if os.path.exists(key_path):
-        with open(key_path) as fh:
-            if fh.read() == key:
-                return
-    shutil.rmtree(run_dir, ignore_errors=True)
-    _train([*argv, "--out", run_dir])
-    with open(key_path, "w") as fh:
-        fh.write(key)
+def _ensure_stage(argv) -> None:
+    """Train argv unless it is current (see _is_current). A stale directory,
+    its cached eval curve included, is removed first."""
+    if not _is_current(argv):
+        shutil.rmtree(argv[argv.index("--out") + 1], ignore_errors=True)
+        assert _cli(argv) == 0, f"training command failed: {argv}"
 
 
 def _run_dir(kind: str, seed: int) -> str:
@@ -125,17 +103,15 @@ def _final(kind: str, seed: int) -> str:
     return os.path.join(_run_dir(kind, seed), "checkpoint_final.bin")
 
 
-def _stage(kind: str, seed: int) -> tuple[list[str], str]:
-    """The stage's CLI argv, with paths relative to CACHE, and its key."""
+def _stage(kind: str, seed: int) -> list[str]:
+    """The stage's CLI argv; every path in it is absolute."""
+    common = ["--config", os.path.join(CACHE, CONFIG_NAME), "--seed", str(seed),
+              "--steps", str(DESK_STEPS), "--out", _run_dir(kind, seed)]
     if kind == "quad":
-        argv = ["train-quad", "--seed", str(seed)]
-        return argv, _stage_key(argv)
+        return ["train-quad", *common]
     if kind == "dev":
-        argv = ["train-tilt", "--from", os.path.relpath(_final("quad", seed), CACHE),
-                "--seed", str(seed)]
-        return argv, _stage_key(argv, parent_key=_stage("quad", seed)[1])
-    argv = ["train-tilt", "--scratch", "--seed", str(seed)]
-    return argv, _stage_key(argv)
+        return ["train-tilt", "--from", _final("quad", seed), *common]
+    return ["train-tilt", "--scratch", *common]
 
 
 def _ensure_trained() -> None:
@@ -143,12 +119,12 @@ def _ensure_trained() -> None:
     per seed at a time. A developmental stage starts once its quad stage is
     current. Each stage's eval curve is scored as soon as the stage is
     current, while the others train."""
-    os.makedirs(CACHE, exist_ok=True)
+    _write_snapshot_config()
     pool = ThreadPoolExecutor(max_workers=len(SEEDS))
     stages = {}
 
     def submit(kind, seed):
-        job = pool.submit(_ensure_stage, _run_dir(kind, seed), *_stage(kind, seed))
+        job = pool.submit(_ensure_stage, _stage(kind, seed))
         stages[job] = (kind, seed)
         return job
 
@@ -225,68 +201,89 @@ def _eval_curve(kind: str, seed: int) -> list[tuple[int, float]]:
 
 class TestArtifactCache:
     def test_key_tracks_sources_and_stale_runs_retrain(self, tmp_path, monkeypatch):
+        # The manifest hashes the package the cli module was loaded from:
+        # point it at a copy that the test can edit.
         src = tmp_path / "src"
         shutil.copytree(SRC_DIR, src, ignore=shutil.ignore_patterns("__pycache__"))
-        monkeypatch.setitem(globals(), "SRC_DIR", str(src))
-        argv = ["train-quad", "--seed", "1"]
-        key = _stage_key(argv)
-        assert _stage_key(list(argv)) == key
-        assert _stage_key(argv, parent_key=key) != key
-        assert _stage_key(["train-quad", "--seed", "2"]) != key
+        monkeypatch.setattr(cli, "__file__", str(src / "cli.py"))
+        monkeypatch.setitem(globals(), "CACHE", str(tmp_path / "cache"))
+        trained = []
+
+        def fake_cli(argv):
+            # What a finished training leaves that the cache reads.
+            args = cli.build_parser().parse_args(argv)
+            os.makedirs(args.out)
+            with open(os.path.join(args.out, "checkpoint_final.bin"), "w") as fh:
+                fh.write(str(len(trained)))
+            cli.write_manifest(args.out, {**cli.stage_manifest(args), "completed": True})
+            trained.append(argv)
+            return 0
+
+        monkeypatch.setitem(globals(), "_cli", fake_cli)
+        _write_snapshot_config()
+
+        run_dir, argv = _run_dir("quad", 1), _stage("quad", 1)
+        os.makedirs(run_dir)
+        for name, text in (("checkpoint_final.bin", "old"), ("eval_curve.json", "[]"),
+                           ("manifest.json", '{"stale": true}')):
+            with open(os.path.join(run_dir, name), "w") as fh:
+                fh.write(text)
+        _ensure_stage(argv)                 # stale: removed and retrained
+        assert trained == [argv]
+        assert not os.path.exists(os.path.join(run_dir, "eval_curve.json"))
+        _ensure_stage(list(argv))           # equal inputs: reused as is
+        assert len(trained) == 1
+        assert not _is_current([*_stage("quad", 2)[:-1], run_dir])   # other seed
 
         source = src / "ppo.py"
         data = source.read_bytes()
         source.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
-        assert _stage_key(argv) != key
+        assert not _is_current(argv)
         source.write_bytes(data)
-        assert _stage_key(argv) == key
+        assert _is_current(argv)
 
-        dev = _stage("dev", 1)
+        # The developmental stage is current only against the quad
+        # checkpoint it started from, wherever the cache lies.
+        _ensure_stage(_stage("dev", 1))
+        assert len(trained) == 2 and _is_current(_stage("dev", 1))
+        shutil.copytree(CACHE, tmp_path / "moved")
         monkeypatch.setitem(globals(), "CACHE", str(tmp_path / "moved"))
-        assert _stage("dev", 1) == dev      # keys do not depend on the cache path
+        assert _is_current(_stage("quad", 1)) and _is_current(_stage("dev", 1))
+        with open(_final("quad", 1), "a") as fh:
+            fh.write("retrained")
+        assert not _is_current(_stage("dev", 1))
 
-        trained = []
+        argv = _stage("quad", 1)
+        cli.write_manifest(_run_dir("quad", 1),
+                           cli.stage_manifest(cli.build_parser().parse_args(argv)))
+        _ensure_stage(argv)                 # not completed: retrained
+        assert len(trained) == 3
+        os.remove(os.path.join(_run_dir("quad", 1), "manifest.json"))
+        _ensure_stage(argv)                 # no manifest: retrained
+        assert len(trained) == 4
 
-        def fake_train(full_argv):
-            out = full_argv[full_argv.index("--out") + 1]
-            os.makedirs(out)
-            open(os.path.join(out, "checkpoint_final.bin"), "wb").close()
-            trained.append(full_argv)
-
-        monkeypatch.setitem(globals(), "_train", fake_train)
-        run_dir = str(tmp_path / "quad_s1")
-        os.makedirs(run_dir)
-        for name, text in (("checkpoint_final.bin", "old"), ("eval_curve.json", "[]"),
-                           (KEY_FILE, "stale")):
-            with open(os.path.join(run_dir, name), "w") as fh:
-                fh.write(text)
-        _ensure_stage(run_dir, argv, key)
-        assert trained == [[*argv, "--out", run_dir]]
-        assert not os.path.exists(os.path.join(run_dir, "eval_curve.json"))
-        with open(os.path.join(run_dir, KEY_FILE)) as fh:
-            assert fh.read() == key
-        _ensure_stage(run_dir, argv, key)   # current key: reused as is
-        assert len(trained) == 1
-        os.remove(os.path.join(run_dir, KEY_FILE))
-        _ensure_stage(run_dir, argv, key)   # unkeyed: retrained
-        assert len(trained) == 2
-
-    def test_key_tracks_config_overrides(self, monkeypatch):
-        # The training child inherits the environment, so a TILTRL_* override
-        # changes what a stage trains and must change its key.
+    def test_key_tracks_config_overrides(self, tmp_path, monkeypatch):
+        # The training child inherits the environment, so a TILTRL_* config
+        # override changes what a stage trains and must change its manifest.
         for var in [v for v in os.environ if v.startswith("TILTRL_")]:
             monkeypatch.delenv(var)
-        argv = ["train-quad", "--seed", "1"]
-        key = _stage_key(argv)
-        monkeypatch.setenv("TILTRL_ACCEPTANCE_CACHE", "/elsewhere")
-        assert _stage_key(argv) == key      # only locates the cache
-        monkeypatch.setenv("TILTRL_TOTAL_STEPS", "7")
-        assert _stage_key(argv) == key      # the child's budget overrides it
+        monkeypatch.setitem(globals(), "CACHE", str(tmp_path))
+        _write_snapshot_config()
+        args = cli.build_parser().parse_args(_stage("quad", 1))
+        base = cli.stage_manifest(args)
+        for var, value in (("TILTRL_ACCEPTANCE_CACHE", "/elsewhere"),  # locates the cache
+                           ("TILTRL_TOTAL_STEPS", "7"),     # --steps overrides it
+                           ("TILTRL_FOO", "x")):            # not a config key
+            monkeypatch.setenv(var, value)
+            assert cli.stage_manifest(args) == base, var
         monkeypatch.setenv("TILTRL_SIGMA", "0.5")
-        sigma = _stage_key(argv)
-        assert sigma != key
+        sigma = cli.stage_manifest(args)
+        assert sigma != base
         monkeypatch.setenv("TILTRL_SIGMA", "0.3")
-        assert _stage_key(argv) not in (key, sigma)
+        assert cli.stage_manifest(args) not in (base, sigma)
+        monkeypatch.delenv("TILTRL_SIGMA")
+        monkeypatch.setenv("TILTRL_CHECKPOINT_EVERY", "3")
+        assert cli.stage_manifest(args)["config"]["checkpoint_every"] == 3
 
 
 # --- 1. dynamics property suite ----------------------------------------------

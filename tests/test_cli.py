@@ -3,26 +3,33 @@ import hashlib
 import json
 import os
 import platform
+import shutil
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import tiltrl.neuralnet as nn
+from tiltrl import cli
 from tiltrl.cli import main
 from tiltrl.env import TRACE_HEADER
 from tiltrl.evalsuite import SUMMARY_HEADER
 
 
+# Config overrides that keep runs tiny.
+TINY = {
+    "TILTRL_N_ENVS": "2",
+    "TILTRL_ROLLOUT_HORIZON": "64",
+    "TILTRL_HIDDEN_SIZES": "16, 16",
+    "TILTRL_CHECKPOINT_EVERY": "1000000",
+}
+
+
 def run(tmp_path, *argv, env=None):
-    """Invoke the CLI in-process with config overrides that keep runs tiny."""
-    overrides = {
-        "TILTRL_N_ENVS": "2",
-        "TILTRL_ROLLOUT_HORIZON": "64",
-        "TILTRL_HIDDEN_SIZES": "16, 16",
-        "TILTRL_CHECKPOINT_EVERY": "1000000",
-    }
-    if env:
-        overrides.update(env)
+    """Invoke the CLI in-process with the TINY config overrides."""
+    overrides = {**TINY, **(env or {})}
     old = {k: os.environ.get(k) for k in overrides}
     os.environ.update(overrides)
     try:
@@ -60,12 +67,30 @@ class TestTrainQuad:
         assert m["config"]["n_envs"] == 2
         assert m["python_version"] == platform.python_version()
         assert m["numpy_version"] == np.__version__
+        assert m["source_sha256"] == cli.source_sha256()
+        assert m["from_checkpoint_sha256"] is None
+        assert m["completed"] is True
+
+    def test_failed_training_leaves_manifest_not_completed(self, tmp_path, monkeypatch):
+        class Interrupted(Exception):
+            pass
+
+        def fail(*args, **kwargs):
+            raise Interrupted
+
+        monkeypatch.setattr(cli.ppo, "train", fail)
+        with pytest.raises(Interrupted):
+            train_quad(tmp_path)
+        m = json.loads((tmp_path / "quad" / "manifest.json").read_text())
+        assert m["stage"] == "quad" and "completed" not in m
 
     def test_same_seed_identical_checkpoints(self, tmp_path):
         a = train_quad(tmp_path, "a", seed="5")
         b = train_quad(tmp_path, "b", seed="5")
         assert filecmp.cmp(a / "checkpoint_final.bin",
                            b / "checkpoint_final.bin", shallow=False)
+        # The manifest records no output path.
+        assert filecmp.cmp(a / "manifest.json", b / "manifest.json", shallow=False)
 
     def test_different_seed_differs(self, tmp_path):
         a = train_quad(tmp_path, "a", seed="5")
@@ -205,6 +230,8 @@ class TestTrainTilt:
         assert actor.layer_sizes == [22, 16, 16, 8]
         m = json.loads((out / "manifest.json").read_text())
         assert m["stage"] == "tilt_developmental"
+        assert m["from_checkpoint_sha256"] == hashlib.sha256(
+            (quad / "checkpoint_final.bin").read_bytes()).hexdigest()
 
     def test_scratch(self, tmp_path):
         out = tmp_path / "tilt"
@@ -230,6 +257,77 @@ class TestTrainTilt:
             run(tmp_path, "train-tilt", "--scratch", "--from", "x",
                 "--out", str(tmp_path / "o"))
         assert e.value.code == 1
+
+
+def test_child_manifests_match_prediction_and_track_sources(tmp_path, monkeypatch):
+    # Child runs from a copy of the package write the manifests that
+    # stage_manifest predicts in process under the same environment, a
+    # TILTRL_* variable that is no config key included; one changed source
+    # byte changes only source_sha256.
+    pkg = tmp_path / "pkg"
+    shutil.copytree(os.path.dirname(cli.__file__), pkg / "tiltrl",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for var, value in {**TINY, "TILTRL_SIGMA": "0.5", "TILTRL_FOO": "x"}.items():
+        monkeypatch.setenv(var, value)
+    env = {**os.environ, "PYTHONPATH": str(pkg)}
+
+    def child(name, *argv):
+        argv = [*argv, "--seed", "3", "--steps", "64", "--out", str(tmp_path / name)]
+        subprocess.run([sys.executable, "-m", "tiltrl.cli", *argv], env=env,
+                       cwd=tmp_path, check=True, stdout=subprocess.DEVNULL)
+        stored = json.loads((tmp_path / name / "manifest.json").read_text())
+        return stored, {**cli.stage_manifest(cli.build_parser().parse_args(argv)),
+                        "completed": True}
+
+    quad, predicted = child("quad", "train-quad")
+    assert quad == predicted and quad["config"]["sigma"] == 0.5
+    dev, predicted = child("dev", "train-tilt", "--from",
+                           str(tmp_path / "quad" / "checkpoint_final.bin"))
+    assert dev == predicted and dev["from_checkpoint_sha256"] is not None
+
+    source = pkg / "tiltrl" / "ppo.py"
+    source.write_bytes(source.read_bytes()[:-1] + b" ")
+    edited, _ = child("edited", "train-quad")
+    assert edited["source_sha256"] != quad["source_sha256"]
+    assert {**edited, "source_sha256": None} == {**quad, "source_sha256": None}
+
+
+def _quad_checkpoint(path) -> bytes:
+    """A small quad checkpoint with Adam state for both nets; returns its bytes."""
+    rng = np.random.default_rng(0)
+    nets = {name: (net, nn.AdamState.for_net(net)) for name, net in (
+        ("actor", nn.make_mlp([18, 16, 16, 4], rng)),
+        ("critic", nn.make_mlp([18, 16, 16, 1], rng, output_tanh=False)))}
+    nn.save_checkpoint(path, nets, 3, 0)
+    return path.read_bytes()
+
+
+# Malformed checkpoint bytes from a valid file's bytes. The file starts with
+# a 25-byte header and the actor's layers; it ends with the critic's Adam
+# moments.
+CORRUPTIONS = {
+    "bad_magic": lambda d: b"NOPE" + d[4:],
+    "bad_version": lambda d: d[:4] + struct.pack("<I", 99) + d[8:],
+    "cut_in_header": lambda d: d[:12],
+    "cut_in_layer": lambda d: d[:100],
+    "cut_in_half": lambda d: d[:len(d) // 2],
+    "cut_in_adam": lambda d: d[:-100],
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "train-tilt"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corruption):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(CORRUPTIONS[corruption](_quad_checkpoint(tmp_path / "good.bin")))
+    with pytest.raises(nn.CheckpointError):
+        nn.load_checkpoint(bad)
+    argv = (["eval", str(bad), "--mode", "hover", "--trials", "1"] if command == "eval"
+            else ["train-tilt", "--from", str(bad), "--steps", "64"])
+    assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "checkpoint" in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestEval:
@@ -287,6 +385,17 @@ class TestEval:
         assert rc in (0, 2)
         assert (out / "waypoint_trace.csv").read_text().startswith(TRACE_HEADER)
 
+    @pytest.mark.parametrize("mode", ["hover", "ablate"])
+    @pytest.mark.parametrize("checkpoint", [[], ["x.bin"]])
+    def test_pid_controller_needs_waypoint_mode(self, tmp_path, capsys, mode, checkpoint):
+        with pytest.raises(SystemExit) as e:
+            main(["eval", *checkpoint, "--mode", mode, "--controller", "pid",
+                  "--out", str(tmp_path / "ev")])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert "--controller pid" in err and "--mode waypoint" in err
+        assert not (tmp_path / "ev").exists()
+
     def test_policy_mode_requires_checkpoint(self, tmp_path):
         rc = run(tmp_path, "eval", "--mode", "hover",
                  "--out", str(tmp_path / "ev"))
@@ -333,6 +442,31 @@ class TestConfigPlumbing:
         assert e.value.code == 1
         assert "must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-quad", "--seed", "-1", "--steps", "64"],
+        ["train-quad", "--seed", str(2 ** 64), "--steps", "64"],
+        ["eval", "x.bin", "--mode", "hover", "--seed", "-3"],
+    ])
+    def test_seed_outside_uint64_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            run(tmp_path, *argv, "--out", str(tmp_path / "o"))
+        assert e.value.code == 1
+        assert "must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-quad", "--steps", "64"], ["eval", "x.bin", "--mode", "hover"]])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_uint64_is_config_error(self, tmp_path, capsys, argv, seed):
+        # From the environment and from a config file alike.
+        path = tmp_path / "run.cfg"
+        assert main(["write-config", str(path)]) == 0
+        path.write_text(path.read_text().replace("\nseed = 0\n", f"\nseed = {seed}\n"))
+        for config, env in (([], {"TILTRL_SEED": seed}), (["--config", str(path)], None)):
+            assert run(tmp_path, *argv, *config, "--out", str(tmp_path / "o"), env=env) == 2
+            assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_vector_length_error_exit_code(self, tmp_path, capsys):
         rc = run(tmp_path, "train-quad", "--seed", "3", "--out", str(tmp_path / "o"),

@@ -340,8 +340,7 @@ def _report(version):
 
 _NET = make_mlp([3, 4, 2], np.random.default_rng(0))
 _TRIAL = TrialResult(trial=0, seed=7, end=TermStatus.REACHED, steps_to_reach=1,
-                     final_error_m=0.1, final_euler_rad=(0.0, 0.0, 0.0),
-                     final_tilt_rad=(0.0,) * 4)
+                     final_error_m=0.1, final_tilt_rad=(0.0,) * 4)
 
 # name -> write(dir, version): each writes its artifact(s) into dir, with
 # contents that depend on version.
@@ -350,7 +349,7 @@ ARTIFACT_WRITERS = {
                                                seed=1, train_step=v),
     "config": lambda d, v: write_config(dataclasses.replace(
         default_config(), train=TrainConfig(seed=v)), d / "run.cfg"),
-    "manifest": lambda d, v: cli.write_manifest(str(d), "quad", v, default_config(), {}),
+    "manifest": lambda d, v: cli.write_manifest(str(d), {"seed": v}),
     "summary": lambda d, v: cli._write_summary(str(d), [dataclasses.replace(_TRIAL, seed=v)]),
     "trace": lambda d, v: write_trace(d / "trace.csv", [f"{v},0.5"]),
     "transfer_reports": lambda d, v: cli._write_transfer_reports(str(d), _report(v),
