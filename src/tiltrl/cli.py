@@ -19,8 +19,10 @@ import argparse
 import dataclasses
 import glob
 import hashlib
+import itertools
 import json
 import os
+import pathlib
 import platform
 import sys
 
@@ -30,9 +32,10 @@ from . import neuralnet as nn
 from . import ppo, transfer
 from .config import ConfigError, RunConfig, as_flat_dict, default_config, \
     load_config, write_config
-from .env import EpisodeCounter, HoverEnv, Platform, write_trace
-from .evalsuite import (SQUARE_MISSION, SUMMARY_HEADER, run_fault_ablation,
-                        run_hover_eval, run_waypoint_mission, summary_rows)
+from .env import HoverEnv, Platform, write_trace
+from .evalsuite import (SQUARE_MISSION, SUMMARY_HEADER, actor_platform,
+                        run_fault_ablation, run_hover_eval, run_waypoint_mission,
+                        summary_rows)
 from .neuralnet import CheckpointError, ShapeMismatchError, atomic_open
 
 
@@ -59,15 +62,10 @@ def seed_int(text: str) -> int:
 
 def make_envs(platform: Platform, cfg: RunConfig, seed: int) -> list[HoverEnv]:
     """Independent env pool; RNGs split deterministically from the seed."""
-    counter = EpisodeCounter()
+    counter = itertools.count()
     seqs = np.random.SeedSequence([seed, 0xE17]).spawn(cfg.train.n_envs)
     return [HoverEnv(platform, cfg.sim, cfg.episode, cfg.rewards,
                      np.random.default_rng(s), counter) for s in seqs]
-
-
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def source_sha256() -> str:
@@ -102,7 +100,8 @@ def stage_manifest(args, cfg: RunConfig | None = None) -> dict:
         "stage": ("quad" if args.command == "train-quad" else
                   "tilt_developmental" if source else "tilt_scratch"),
         "seed": cfg.train.seed,
-        "from_checkpoint_sha256": _sha256(source) if source else None,
+        "from_checkpoint_sha256": (hashlib.sha256(pathlib.Path(source).read_bytes())
+                                   .hexdigest() if source else None),
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in as_flat_dict(cfg).items()},
         "artifacts": {"train_log": "train_log.csv",
@@ -163,12 +162,6 @@ def _write_transfer_reports(out_dir, actor_report, critic_report) -> None:
         fh.write(actor_report.to_csv() + "\n" + critic_report.to_csv() + "\n")
 
 
-def _load_actor(path) -> nn.Mlp:
-    nets, _, _ = nn.load_checkpoint(path)
-    actor, _ = nets["actor"]
-    return actor
-
-
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
@@ -178,7 +171,8 @@ def cmd_eval(args) -> int:
         if args.checkpoint is None:
             raise ConfigError("a checkpoint is required unless --mode waypoint"
                               " --controller pid")
-        actor = _load_actor(args.checkpoint)
+        actor = nn.load_checkpoint(args.checkpoint)[0]["actor"][0]
+        actor_platform(actor)   # a shape no platform flies fails before --out exists
     os.makedirs(args.out, exist_ok=True)
 
     if args.mode == "hover":

@@ -14,6 +14,7 @@ action. `HoverEnv` and the evaluation protocols both call them.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -194,18 +195,6 @@ def reset_state(rng: np.random.Generator, cfg: EpisodeConfig,
                            np.full(4, params.hover_thrust_n)])
 
 
-class EpisodeCounter:
-    """Global episode index shared by a pool of environments."""
-
-    def __init__(self, start: int = 0):
-        self.value = start
-
-    def next(self) -> int:
-        idx = self.value
-        self.value += 1
-        return idx
-
-
 class HoverEnv:
     """Gym-style wrapper: reset() -> obs, step(action) -> (obs, reward, status).
 
@@ -216,13 +205,13 @@ class HoverEnv:
 
     def __init__(self, platform: Platform, params: SimParams, cfg: EpisodeConfig,
                  weights: RewardWeights, rng: np.random.Generator,
-                 counter: EpisodeCounter | None = None):
+                 counter: itertools.count | None = None):
         self.platform = platform
         self.params = params
         self.cfg = cfg
         self.weights = weights
         self.rng = rng
-        self.counter = counter if counter is not None else EpisodeCounter()
+        self.counter = counter if counter is not None else itertools.count()
         self.y: np.ndarray | None = None
         self.t = 0
         self.episode_return = 0.0
@@ -240,7 +229,7 @@ class HoverEnv:
         return observation(self.y, self._target, self.platform)
 
     def reset(self) -> np.ndarray:
-        self.y = reset_state(self.rng, self.cfg, self.counter.next(), self.params)
+        self.y = reset_state(self.rng, self.cfg, next(self.counter), self.params)
         self.t = 0
         self.episode_return = 0.0
         return self.observe()

@@ -107,11 +107,11 @@ def _trial_result(trial: int, seed: int, end: TermStatus, steps: int, y: np.ndar
 
 
 def actor_platform(actor: nn.Mlp) -> Platform:
-    """The platform whose observation the actor takes as input."""
+    """The platform whose observation the actor takes and whose action it gives."""
     for platform in Platform:
-        if actor.in_dim == platform.obs_dim:
+        if (actor.in_dim, actor.out_dim) == (platform.obs_dim, platform.act_dim):
             return platform
-    raise nn.ShapeMismatchError(f"actor input width {actor.in_dim} fits no platform")
+    raise nn.ShapeMismatchError(f"actor layers {actor.layer_sizes} fit no platform")
 
 
 def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,

@@ -5,7 +5,7 @@ Each Mlp keeps its parameters in one float64 vector `params`, laid out W0,
 b0, W1, b1, ..., and its freeze flags in one bool vector `frozen`; the layer
 arrays are views into them. Gradients and Adam moments share that layout.
 
-Checkpoint byte layout (little-endian; the layer views are written in order):
+Checkpoint byte layout (little-endian; `_blocks` gives the arrays' order):
 
     magic   4s   b"TLRC"
     version u32  currently 1
@@ -49,33 +49,23 @@ class ShapeMismatchError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A file load_checkpoint cannot read: bad magic, unsupported version or truncated."""
-
-
-def _flatten(ws, bs, dtype) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for layer in zip(ws, bs) for a in layer], dtype=dtype)
+    """A file load_checkpoint cannot read: bad magic, unsupported version,
+    layers that do not chain, or truncated."""
 
 
 class Mlp:
-    """Layered tanh network. weights[i] has shape (out, in); tanh on hidden
-    layers, tanh or identity on the output per output_tanh. The constructor
-    copies the layer arrays into `params` and `frozen`."""
+    """Layered tanh network with weight shapes [(out, in), ...]: tanh on
+    hidden layers, tanh or identity on the output per output_tanh. It starts
+    all zero with nothing frozen."""
 
-    def __init__(self, weights, biases, frozen_w, frozen_b, output_tanh: bool = True):
-        self.shapes = [np.shape(w) for w in weights]
+    def __init__(self, shapes, output_tanh: bool = True):
+        self.shapes = list(shapes)
         self.output_tanh = output_tanh
-        self.params = _flatten(weights, biases, float)
-        self.frozen = _flatten(frozen_w, frozen_b, bool)
+        n = sum(rows * cols + rows for rows, cols in self.shapes)
+        self.params = np.zeros(n)
+        self.frozen = np.zeros(n, dtype=bool)
         self.weights, self.biases = self.views(self.params)
         self.frozen_w, self.frozen_b = self.views(self.frozen)
-
-    @classmethod
-    def zeros(cls, shapes, output_tanh: bool = True) -> "Mlp":
-        """All-zero network with weight shapes [(out, in), ...], nothing frozen."""
-        ws = [np.zeros(shape) for shape in shapes]
-        bs = [np.zeros(rows) for rows, _ in shapes]
-        return cls(ws, bs, [w.astype(bool) for w in ws], [b.astype(bool) for b in bs],
-                   output_tanh)
 
     def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views into a vector laid out like params."""
@@ -102,15 +92,6 @@ class Mlp:
     def n_params(self) -> int:
         return self.params.size
 
-    def n_frozen(self) -> int:
-        return int(np.count_nonzero(self.frozen))
-
-    def copy(self) -> "Mlp":
-        net = Mlp.zeros(self.shapes, self.output_tanh)
-        net.params[:] = self.params
-        net.frozen[:] = self.frozen
-        return net
-
 
 @dataclass
 class AdamState:
@@ -124,10 +105,8 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_net(cls, net: Mlp, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> "AdamState":
-        return cls(np.zeros_like(net.params), np.zeros_like(net.params), 0,
-                   beta1, beta2, eps)
+    def for_net(cls, net: Mlp) -> "AdamState":
+        return cls(np.zeros_like(net.params), np.zeros_like(net.params))
 
 
 def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,7 +118,7 @@ def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def make_mlp(sizes: list[int], rng: np.random.Generator,
              output_tanh: bool = True) -> Mlp:
     """Fresh network with Xavier weights and zero biases, nothing frozen."""
-    net = Mlp.zeros(list(zip(sizes[1:], sizes[:-1])), output_tanh)
+    net = Mlp(list(zip(sizes[1:], sizes[:-1])), output_tanh)
     for w in net.weights:
         w[:] = xavier_init(*w.shape, rng)
     return net
@@ -217,36 +196,47 @@ def adam_step(net: Mlp, opt: AdamState, grad: np.ndarray, lr: float) -> None:
     net.params -= upd
 
 
-def gaussian_log_prob(mean: np.ndarray, sigma: float, a: np.ndarray) -> float:
-    """Log density of a diagonal Gaussian N(mean, sigma^2 I) at a."""
+def gaussian_log_prob(mean: np.ndarray, sigma: float, a: np.ndarray) -> np.ndarray:
+    """Log density of a diagonal Gaussian N(mean, sigma^2 I) at a, one value
+    per row of a batch."""
     mean = np.asarray(mean, dtype=float)
     a = np.asarray(a, dtype=float)
     k = mean.shape[-1]
     diff = a - mean
     quad = np.sum(diff * diff, axis=-1) / (2.0 * sigma * sigma)
-    out = -0.5 * k * math.log(2.0 * math.pi) - k * math.log(sigma) - quad
-    return float(out) if out.ndim == 0 else out
+    return -0.5 * k * math.log(2.0 * math.pi) - k * math.log(sigma) - quad
 
 
 # --- checkpoint serialization -------------------------------------------------
 
+def _blocks(net: Mlp, opt_header):
+    """A net's arrays in checkpoint order with their file dtypes: W, b, frozen_W,
+    frozen_b per layer; then opt_header() writes or reads the optimizer flag and
+    header and returns the AdamState whose mW, vW, mb, vb per layer follow, or None."""
+    for layer in zip(net.weights, net.biases, net.frozen_w, net.frozen_b):
+        yield from zip(layer, _LAYER_DTYPES)
+    opt = opt_header()
+    if opt is not None:
+        (m_w, m_b), (v_w, v_b) = net.views(opt.m), net.views(opt.v)
+        for layer in zip(m_w, v_w, m_b, v_b):
+            yield from ((arr, "<f8") for arr in layer)
+
+
 def _pack_net(fh, name: str, net: Mlp, opt: AdamState | None) -> None:
     nb = name.encode("ascii")
-    fh.write(struct.pack("<B", len(nb)))
-    fh.write(nb)
+    fh.write(struct.pack("<B", len(nb)) + nb)
     fh.write(struct.pack("<BB", int(net.output_tanh), len(net.shapes)))
     for rows, cols in net.shapes:
         fh.write(struct.pack("<II", rows, cols))
-    for layer in zip(net.weights, net.biases, net.frozen_w, net.frozen_b):
-        for arr, dtype in zip(layer, _LAYER_DTYPES):
-            fh.write(arr.astype(dtype, copy=False).tobytes())
-    fh.write(struct.pack("<B", int(opt is not None)))
-    if opt is not None:
-        fh.write(struct.pack("<Qddd", opt.step_count, opt.beta1, opt.beta2, opt.eps))
-        (m_w, m_b), (v_w, v_b) = net.views(opt.m), net.views(opt.v)
-        for layer in zip(m_w, v_w, m_b, v_b):
-            for arr in layer:
-                fh.write(arr.astype("<f8", copy=False).tobytes())
+
+    def opt_header():
+        fh.write(struct.pack("<B", int(opt is not None)))
+        if opt is not None:
+            fh.write(struct.pack("<Qddd", opt.step_count, opt.beta1, opt.beta2, opt.eps))
+        return opt
+
+    for arr, dtype in _blocks(net, opt_header):
+        fh.write(arr.astype(dtype, copy=False).tobytes())
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -260,29 +250,32 @@ def _read(fh, fmt):
     return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
-def _read_into(fh, dst: np.ndarray, dtype="<f8") -> None:
-    dst[...] = np.frombuffer(_read_exact(fh, dst.size * np.dtype(dtype).itemsize),
-                             dtype=dtype).reshape(dst.shape)
-
-
 def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
     (name_len,) = _read(fh, "<B")
     name = _read_exact(fh, name_len).decode("ascii")
     output_tanh, n_layers = _read(fh, "<BB")
-    net = Mlp.zeros([_read(fh, "<II") for _ in range(n_layers)], bool(output_tanh))
-    for layer in zip(net.weights, net.biases, net.frozen_w, net.frozen_b):
-        for arr, dtype in zip(layer, _LAYER_DTYPES):
-            _read_into(fh, arr, dtype)
-    (has_opt,) = _read(fh, "<B")
+    shapes = [_read(fh, "<II") for _ in range(n_layers)]
+    if not shapes or any(cols != rows for (rows, _), (_, cols) in zip(shapes, shapes[1:])):
+        raise CheckpointError(f"checkpoint {fh.name!r}: {name!r} layer shapes {shapes}"
+                              " are not a chain of one or more layers")
+    # Before allocating: each W and b entry takes 8 bytes plus 1 frozen flag.
+    if 9 * sum(rows * cols + rows for rows, cols in shapes) > (
+            os.fstat(fh.fileno()).st_size - fh.tell()):
+        raise CheckpointError(f"truncated checkpoint {fh.name!r}")
+    net = Mlp(shapes, bool(output_tanh))
     opt = None
-    if has_opt:
-        step_count, b1, b2, eps = _read(fh, "<Qddd")
-        opt = AdamState.for_net(net, b1, b2, eps)
-        opt.step_count = step_count
-        (m_w, m_b), (v_w, v_b) = net.views(opt.m), net.views(opt.v)
-        for layer in zip(m_w, v_w, m_b, v_b):
-            for arr in layer:
-                _read_into(fh, arr)
+
+    def opt_header():
+        nonlocal opt
+        (has_opt,) = _read(fh, "<B")
+        if has_opt:
+            opt = AdamState(np.zeros_like(net.params), np.zeros_like(net.params),
+                            *_read(fh, "<Qddd"))
+        return opt
+
+    for arr, dtype in _blocks(net, opt_header):
+        arr[...] = np.frombuffer(_read_exact(fh, arr.size * np.dtype(dtype).itemsize),
+                                 dtype=dtype).reshape(arr.shape)
     return name, net, opt
 
 

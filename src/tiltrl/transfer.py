@@ -64,7 +64,7 @@ def build_tilt_actor(quad_actor: Mlp, rng: np.random.Generator) -> tuple[Mlp, Tr
             f"quad actor must be {QUAD_OBS}-h1-h2-{QUAD_ACT}, got {sizes}")
     h1, h2 = sizes[1], sizes[2]
     report = TransferReport()
-    net = Mlp.zeros([(h1, TILT_OBS), (h2, h1), (TILT_ACT, h2)], output_tanh=True)
+    net = Mlp([(h1, TILT_OBS), (h2, h1), (TILT_ACT, h2)], output_tanh=True)
 
     w0 = net.weights[0]
     w0[:, :QUAD_OBS] = quad_actor.weights[0]
@@ -99,7 +99,7 @@ def build_tilt_critic(quad_critic: Mlp, rng: np.random.Generator) -> tuple[Mlp, 
             f"quad critic must be {QUAD_OBS}-h1-h2-1, got {sizes}")
     h1, h2 = sizes[1], sizes[2]
     report = TransferReport()
-    net = Mlp.zeros([(h1, TILT_OBS), (h2, h1), (1, h2)], output_tanh=False)
+    net = Mlp([(h1, TILT_OBS), (h2, h1), (1, h2)], output_tanh=False)
 
     net.weights[0][:] = nn.xavier_init(h1, TILT_OBS, rng)
     report.add("input->C1", "fresh_xavier", h1 * TILT_OBS + h1)

@@ -16,6 +16,7 @@ processes side by side. Delete the cache directory to force a full retrain.
 import csv
 import dataclasses
 import glob
+import itertools
 import json
 import os
 import shutil
@@ -32,7 +33,7 @@ from tiltrl import cli, ppo, transfer
 from tiltrl.config import default_config, write_config
 from tiltrl.dynamics import (SimParams, derivative, hover_state, quat_to_rot,
                              step_flat)
-from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
+from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
                         RewardWeights, TermStatus)
 from tiltrl.evalsuite import (SQUARE_MISSION, PidGains, run_hover_eval,
                               run_waypoint_mission)
@@ -171,7 +172,7 @@ def deterministic_eval_reward(actor: nn.Mlp, platform: Platform,
     for ep in range(episodes):
         env = HoverEnv(platform, PARAMS, EpisodeConfig(), RewardWeights(),
                        np.random.default_rng(np.random.SeedSequence([4242, ep])),
-                       EpisodeCounter(start=1_000))
+                       itertools.count(1_000))
         obs = env.reset()
         total = 0.0
         while True:
@@ -440,7 +441,7 @@ class TestUnitReproductions:
     def test_headline_constants(self):
         fh_ok = PARAMS.hover_thrust_n == 1.5 * 9.81 / 4 == 3.67875
         env = HoverEnv(Platform.QUAD, PARAMS, EpisodeConfig(), RewardWeights(),
-                       np.random.default_rng(0), EpisodeCounter(start=1_000))
+                       np.random.default_rng(0), itertools.count(1_000))
         env.reset()
         env.y = hover_state(PARAMS, EpisodeConfig().target_position_m)
         # Zero action holds the exact hover fixed point at the goal, so the

@@ -303,8 +303,9 @@ def _quad_checkpoint(path) -> bytes:
 
 
 # Malformed checkpoint bytes from a valid file's bytes. The file starts with
-# a 25-byte header and the actor's layers; it ends with the critic's Adam
-# moments.
+# a 25-byte header and the actor's record: its name at 25-30, its layer count
+# at byte 32 and its (rows, cols) shapes (16, 18), (16, 16), (4, 16) from
+# byte 33. It ends with the critic's Adam moments.
 CORRUPTIONS = {
     "bad_magic": lambda d: b"NOPE" + d[4:],
     "bad_version": lambda d: d[:4] + struct.pack("<I", 99) + d[8:],
@@ -312,6 +313,11 @@ CORRUPTIONS = {
     "cut_in_layer": lambda d: d[:100],
     "cut_in_half": lambda d: d[:len(d) // 2],
     "cut_in_adam": lambda d: d[:-100],
+    "no_layers": lambda d: d[:32] + b"\0" + d[33:],
+    # Layer 1 takes 32 inputs from layer 0's 16 outputs.
+    "unchained_layers": lambda d: d[:45] + struct.pack("<I", 32) + d[49:],
+    # A 16 x 2**31 first layer still chains, but needs 288 GiB the file lacks.
+    "shape_past_end": lambda d: d[:37] + struct.pack("<I", 2 ** 31) + d[41:],
 }
 
 
@@ -327,6 +333,19 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corrup
     assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "checkpoint" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", ["hover", "waypoint"])
+@pytest.mark.parametrize("sizes", [[22, 16, 16, 4], [18, 16, 16, 8]])
+def test_eval_rejects_actor_of_no_platform(tmp_path, capsys, sizes, mode):
+    rng = np.random.default_rng(0)
+    nn.save_checkpoint(tmp_path / "c.bin", {
+        "actor": (nn.make_mlp(sizes, rng), None),
+        "critic": (nn.make_mlp([*sizes[:-1], 1], rng, output_tanh=False), None)}, 3, 0)
+    assert run(tmp_path, "eval", str(tmp_path / "c.bin"), "--mode", mode,
+               "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: actor layers {sizes} fit no platform\n"
     assert not (tmp_path / "o").exists()
 
 

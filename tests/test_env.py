@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tiltrl.dynamics import (SimParams, euler_zyx, hover_state,
                              quat_from_euler_zyx, quat_to_rot)
-from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
+from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
                         RewardWeights, TermStatus, actuator_command,
                         observation, random_unit_quat, reset_state, reward,
                         termination, trace_row)
@@ -239,12 +240,12 @@ class TestTerminated:
 
 class TestHoverEnv:
     def test_counter_shared_across_pool(self):
-        counter = EpisodeCounter()
+        counter = itertools.count()
         envs = [HoverEnv(Platform.QUAD, PARAMS, CFG, WEIGHTS,
                          np.random.default_rng(i), counter) for i in range(4)]
         for env in envs:
             env.reset()
-        assert counter.value == 4
+        assert next(counter) == 4
 
     def test_step_statuses(self):
         env = make_env(cfg=EpisodeConfig(max_steps=5))

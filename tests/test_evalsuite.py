@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -237,6 +238,17 @@ class TestActorPlatform:
     def test_other_width_rejected(self):
         actor = nn.make_mlp([10, 8, 4], np.random.default_rng(0))
         with pytest.raises(nn.ShapeMismatchError, match="10"):
+            ev.actor_platform(actor)
+        with pytest.raises(nn.ShapeMismatchError):
+            ev.run_waypoint_mission(actor, ev.SQUARE_MISSION, SimParams())
+        with pytest.raises(nn.ShapeMismatchError):
+            ev.run_hover_eval(actor, SimParams(), 1, seed=0)
+
+    @pytest.mark.parametrize("sizes", [[22, 8, 4], [18, 8, 8]])
+    def test_output_width_of_other_platform_rejected(self, sizes):
+        # One platform's observation width with the other's action width.
+        actor = nn.make_mlp(sizes, np.random.default_rng(0))
+        with pytest.raises(nn.ShapeMismatchError, match=re.escape(str(sizes))):
             ev.actor_platform(actor)
         with pytest.raises(nn.ShapeMismatchError):
             ev.run_waypoint_mission(actor, ev.SQUARE_MISSION, SimParams())

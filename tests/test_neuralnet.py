@@ -96,9 +96,8 @@ class TestForward:
 
 class TestGradients:
     def test_linear_single_layer(self):
-        net = Mlp([np.array([[2.0, -1.0]])], [np.zeros(1)],
-                  [np.zeros((1, 2), dtype=bool)], [np.zeros(1, dtype=bool)],
-                  output_tanh=False)
+        net = Mlp([(1, 2)], output_tanh=False)
+        net.weights[0][:] = [[2.0, -1.0]]
         x = np.array([0.7, -0.3])
         gw, gb = net.views(gradients(net, x, np.ones(1)))
         np.testing.assert_allclose(gw[0], x[None, :])
@@ -148,9 +147,9 @@ class TestGradients:
 class TestAdam:
     # The flat gradients below are laid out (dW[0, 0], db[0]).
     def make_scalar_net(self):
-        return Mlp([np.array([[1.0]])], [np.zeros(1)],
-                   [np.zeros((1, 1), dtype=bool)], [np.zeros(1, dtype=bool)],
-                   output_tanh=False)
+        net = Mlp([(1, 1)], output_tanh=False)
+        net.weights[0][:] = 1.0
+        return net
 
     def test_zero_gradient_no_change(self):
         net = self.make_scalar_net()
@@ -228,13 +227,7 @@ class TestFlatEngine:
             assert np.shares_memory(net.weights[i], net.params)
             assert np.shares_memory(net.biases[i], net.params)
             assert np.shares_memory(net.frozen_w[i], net.frozen)
-        twin = net.copy()
-        assert not np.shares_memory(twin.params, net.params)
-        assert not np.shares_memory(twin.frozen, net.frozen)
-        twin.weights[0][:] = 1.0
-        twin.frozen_b[1][:] = True
-        assert not np.any(net.weights[0] == 1.0) and net.n_frozen() == 0
-        assert twin.n_frozen() == 3 and twin.n_params() == net.n_params() == 51
+        assert net.n_params() == 51
 
         save_checkpoint(tmp_path / "c.bin", {"a": (net, AdamState.for_net(net))}, 0, 0)
         (net2, opt2), = load_checkpoint(tmp_path / "c.bin")[0].values()

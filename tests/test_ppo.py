@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 import tiltrl.neuralnet as nn
 from tiltrl import ppo
 from tiltrl.dynamics import SimParams
-from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
+from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
                         RewardWeights, TermStatus)
 
 
 def make_envs(n, seed=0, platform=Platform.QUAD):
-    counter = EpisodeCounter()
+    counter = itertools.count()
     seqs = np.random.SeedSequence(seed).spawn(n)
     return [HoverEnv(platform, SimParams(), EpisodeConfig(), RewardWeights(),
                      np.random.default_rng(s), counter) for s in seqs]

@@ -1,11 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import tiltrl.neuralnet as nn
 from tiltrl import ppo, transfer
 from tiltrl.dynamics import SimParams
-from tiltrl.env import (EpisodeConfig, EpisodeCounter, HoverEnv, Platform,
-                        RewardWeights)
+from tiltrl.env import EpisodeConfig, HoverEnv, Platform, RewardWeights
 from tiltrl.neuralnet import ShapeMismatchError
 
 
@@ -135,7 +136,7 @@ class TestFrozenThroughTraining:
             "w1": net.weights[1].copy(),
             "b1": net.biases[1].copy(),
         }
-        counter = EpisodeCounter()
+        counter = itertools.count()
         envs = [HoverEnv(Platform.TILT_ROTOR, SimParams(), EpisodeConfig(),
                          RewardWeights(), np.random.default_rng(s), counter)
                 for s in np.random.SeedSequence(7).spawn(2)]
