@@ -119,21 +119,23 @@ def cmd_train(args) -> int:
     cfg = _resolved_config(args)
     manifest = stage_manifest(args, cfg)
     source = getattr(args, "from_checkpoint", None)
-    quad_nets = nn.load_checkpoint(source)[0] if source else None
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(args.out, manifest)
     seed, h = cfg.train.seed, cfg.train.hidden_sizes
     init_seq, train_seq = np.random.SeedSequence([seed, 0x7A1]).spawn(2)
     init_rng = np.random.default_rng(init_seq)
     vehicle = Platform.QUAD if manifest["stage"] == "quad" else Platform.TILT_ROTOR
     if source:
-        policy, actor_report = transfer.build_tilt_actor(quad_nets["actor"][0], init_rng)
-        critic, critic_report = transfer.build_tilt_critic(quad_nets["critic"][0], init_rng)
-        _write_transfer_reports(args.out, actor_report, critic_report)
+        quad_nets = nn.load_checkpoint(source)[0]
+        policy, a_copied = transfer.build_tilt_actor(quad_nets["actor"][0], init_rng)
+        critic, c_copied = transfer.build_tilt_critic(quad_nets["critic"][0], init_rng)
     else:
         policy = nn.make_mlp([vehicle.obs_dim, *h, vehicle.act_dim], init_rng,
                              output_tanh=True)
         critic = nn.make_mlp([vehicle.obs_dim, *h, 1], init_rng, output_tanh=False)
+    os.makedirs(args.out, exist_ok=True)
+    write_manifest(args.out, manifest)
+    if source:
+        _write_transfer_report(args.out, {"actor": transfer.provenance(policy, a_copied),
+                                          "critic": transfer.provenance(critic, c_copied)})
     p_opt, c_opt = nn.AdamState.for_net(policy), nn.AdamState.for_net(critic)
 
     def save(name, steps):
@@ -143,8 +145,8 @@ def cmd_train(args) -> int:
     log = ppo.train(make_envs(vehicle, cfg, seed), policy, critic, cfg.train,
                     np.random.default_rng(train_seq), policy_opt=p_opt, critic_opt=c_opt,
                     log_path=os.path.join(args.out, "train_log.csv"),
-                    checkpoint_fn=lambda u, *_: save(f"checkpoint_{u + 1:05d}.bin",
-                                                     (u + 1) * cfg.train.rollout_horizon))
+                    checkpoint_fn=lambda u: save(f"checkpoint_{u + 1:05d}.bin",
+                                                 (u + 1) * cfg.train.rollout_horizon))
     save("checkpoint_final.bin", log[-1].env_steps if log else 0)
     write_manifest(args.out, {**manifest, "completed": True})
     return 0
@@ -154,12 +156,11 @@ def cmd_train(args) -> int:
 cmd_train_quad = cmd_train_tilt = cmd_train
 
 
-def _write_transfer_reports(out_dir, actor_report, critic_report) -> None:
-    with atomic_open(os.path.join(out_dir, "transfer_report.txt")) as fh:
-        fh.write("actor\n" + actor_report.to_text() + "\n\n")
-        fh.write("critic\n" + critic_report.to_text() + "\n")
+def _write_transfer_report(out_dir, reports: dict) -> None:
     with atomic_open(os.path.join(out_dir, "transfer_report.csv")) as fh:
-        fh.write(actor_report.to_csv() + "\n" + critic_report.to_csv() + "\n")
+        fh.write("net,block,category,count\n" + "".join(
+            f"{name},{block},{cat},{n}\n"
+            for name, rows in reports.items() for block, cat, n in rows))
 
 
 def cmd_eval(args) -> int:
@@ -173,6 +174,9 @@ def cmd_eval(args) -> int:
                               " --controller pid")
         actor = nn.load_checkpoint(args.checkpoint)[0]["actor"][0]
         actor_platform(actor)   # a shape no platform flies fails before --out exists
+    if args.mode == "ablate":   # ablation rejects a quad actor before --out exists
+        successes, results = run_fault_ablation(actor, args.faulty, args.trials,
+                                                cfg.sim, seed)
     os.makedirs(args.out, exist_ok=True)
 
     if args.mode == "hover":
@@ -181,8 +185,6 @@ def cmd_eval(args) -> int:
         n_ok = sum(r.success for r in results)
         print(f"hover eval: {n_ok}/{len(results)} successes")
     elif args.mode == "ablate":
-        successes, results = run_fault_ablation(actor, args.faulty, args.trials,
-                                                cfg.sim, seed)
         _write_summary(args.out, results)
         print(f"ablation ({args.faulty} faulty): {successes}/{args.trials} successes")
     else:

@@ -50,7 +50,14 @@ class ShapeMismatchError(ValueError):
 
 class CheckpointError(ValueError):
     """A file load_checkpoint cannot read: bad magic, unsupported version,
-    layers that do not chain, or truncated."""
+    layers that do not chain, or truncated; or a network it does not hold."""
+
+
+class _Nets(dict):
+    """A checkpoint's networks by name; a name it lacks is a CheckpointError."""
+
+    def __missing__(self, name):
+        raise CheckpointError(f"the checkpoint has no {name!r} network")
 
 
 class Mlp:
@@ -315,7 +322,7 @@ def load_checkpoint(path):
         version, seed, train_step, n_nets = _read(fh, "<IQQB")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        nets = {}
+        nets = _Nets()
         for _ in range(n_nets):
             name, net, opt = _unpack_net(fh)
             nets[name] = (net, opt)

@@ -72,8 +72,6 @@ class RolloutBuffer:
     # (T,) critic value of the final state where a MAX_STEPS ending truncated
     # the episode at this step; zeros (no truncation) when not given.
     truncation_values: np.ndarray | None = None
-    advantages: np.ndarray | None = None
-    returns: np.ndarray | None = None
     episode_returns: list = field(default_factory=list)
     episode_lengths: list = field(default_factory=list)
     episode_ends: list = field(default_factory=list)   # TermStatus per episode
@@ -173,10 +171,7 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
             acc = delta + gamma * lam * nonterm * acc
             adv[i] = acc
             next_value = buffer.values[i]
-    returns = adv + buffer.values
-    buffer.advantages = adv
-    buffer.returns = returns
-    return adv, returns
+    return adv, adv + buffer.values
 
 
 def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
@@ -185,12 +180,11 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
                rng: np.random.Generator) -> dict:
     """Clipped-surrogate policy update and value regression over the buffer.
 
-    Advantages are normalized once per update; the learning rate follows the
-    linear schedule lr0 * (1 - progress). Frozen parameters stay untouched.
+    Advantages (compute_gae) are normalized once per update; the learning
+    rate follows the linear schedule lr0 * (1 - progress). Frozen parameters
+    stay untouched.
     """
-    if buffer.advantages is None:
-        raise ValueError("compute_gae must run before ppo_update")
-    adv = buffer.advantages
+    adv, returns = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     lr = cfg.lr0 * (1.0 - progress)
     sig2 = cfg.sigma * cfg.sigma
@@ -204,7 +198,7 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
             ob = buffer.obs[idx]
             ac = buffer.actions[idx]
             a_n = adv[idx]
-            ret = buffer.returns[idx]
+            ret = returns[idx]
             old_logp = buffer.log_probs[idx]
             nb = len(idx)
 
@@ -281,10 +275,10 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
           policy_opt: nn.AdamState | None = None,
           critic_opt: nn.AdamState | None = None,
           log_path=None, checkpoint_fn=None) -> list[TrainLogRow]:
-    """Alternate rollout / GAE / update until total_steps env steps are used.
+    """Alternate rollout and update until total_steps env steps are used.
 
-    checkpoint_fn(update_index, policy, critic, policy_opt, critic_opt) is
-    called every checkpoint_every updates when provided. Returns the log.
+    checkpoint_fn(update_index) is called every checkpoint_every updates
+    when provided. Returns the log.
     """
     if policy_opt is None:
         policy_opt = nn.AdamState.for_net(policy)
@@ -299,7 +293,6 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
     try:
         for u in range(n_updates):
             buf = collect_rollout(policy, critic, envs, cfg, rng)
-            compute_gae(buf, cfg.gamma, cfg.gae_lambda)
             progress = u / n_updates
             losses = ppo_update(policy, critic, policy_opt, critic_opt,
                                 buf, cfg, progress, rng)
@@ -324,7 +317,7 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
                 log_fh.write(row.csv() + "\n")
                 log_fh.flush()
             if checkpoint_fn and (u + 1) % cfg.checkpoint_every == 0:
-                checkpoint_fn(u, policy, critic, policy_opt, critic_opt)
+                checkpoint_fn(u)
     finally:
         if log_fh:
             log_fh.close()

@@ -16,6 +16,7 @@ from tiltrl import cli
 from tiltrl.cli import main
 from tiltrl.env import TRACE_HEADER
 from tiltrl.evalsuite import SUMMARY_HEADER
+from test_transfer import assert_report_invariant
 
 
 # Config overrides that keep runs tiny.
@@ -218,14 +219,20 @@ class TestTrainTilt:
     def test_developmental_writes_transfer_report(self, tmp_path):
         quad = train_quad(tmp_path)
         out = tmp_path / "tilt"
+        # At learning rate 0 the final checkpoint holds the networks as built.
         rc = run(tmp_path, "train-tilt", "--from",
                  str(quad / "checkpoint_final.bin"), "--seed", "3",
-                 "--steps", "256", "--out", str(out))
+                 "--steps", "256", "--out", str(out), env={"TILTRL_LR0": "0"})
         assert rc == 0
-        report = (out / "transfer_report.txt").read_text()
-        assert "actor" in report and "critic" in report
-        assert (out / "transfer_report.csv").exists()
+        header, *lines = (out / "transfer_report.csv").read_text().splitlines()
+        assert header == "net,block,category,count"
+        assert not (out / "transfer_report.txt").exists()
         nets, _, _ = nn.load_checkpoint(out / "checkpoint_final.bin")
+        rows = [line.split(",") for line in lines]
+        assert {name for name, *_ in rows} == {"actor", "critic"}
+        for name in ("actor", "critic"):
+            assert_report_invariant(nets[name][0], [
+                (block, category, int(n)) for net, block, category, n in rows if net == name])
         actor, _ = nets["actor"]
         assert actor.layer_sizes == [22, 16, 16, 8]
         m = json.loads((out / "manifest.json").read_text())
@@ -346,6 +353,27 @@ def test_eval_rejects_actor_of_no_platform(tmp_path, capsys, sizes, mode):
     assert run(tmp_path, "eval", str(tmp_path / "c.bin"), "--mode", mode,
                "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err == f"error: actor layers {sizes} fit no platform\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("nets, argv, message", [
+    ({"actor": [18, 16, 16, 4]}, ["train-tilt", "--steps", "64", "--from"],
+     "the checkpoint has no 'critic' network"),
+    ({"actor": [22, 16, 16, 8], "critic": [22, 16, 16, 1]},
+     ["train-tilt", "--steps", "64", "--from"],
+     "quad actor must be 18-h1-h2-4, got [22, 16, 16, 8]"),
+    ({"critic": [18, 16, 16, 1]}, ["eval", "--mode", "hover"],
+     "the checkpoint has no 'actor' network"),
+    ({"actor": [18, 16, 16, 4], "critic": [18, 16, 16, 1]}, ["eval", "--mode", "ablate"],
+     "fault ablation requires a tilt-rotor actor"),
+], ids=["from_no_critic", "from_tilt_rotor", "eval_no_actor", "ablate_quad_actor"])
+def test_unusable_checkpoint_fails_before_out(tmp_path, capsys, nets, argv, message):
+    rng = np.random.default_rng(0)
+    nn.save_checkpoint(tmp_path / "c.bin", {
+        name: (nn.make_mlp(sizes, rng, output_tanh=name == "actor"), None)
+        for name, sizes in nets.items()}, 3, 0)
+    assert run(tmp_path, *argv, str(tmp_path / "c.bin"), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -232,11 +232,6 @@ class TestTerminated:
         s = hover_state(PARAMS, position=CFG.target_position_m)
         assert termination(s, 10, CFG) is TermStatus.RUNNING
 
-    def test_diverged(self):
-        s = hover_state(PARAMS)
-        s[0] = math.nan
-        assert termination(s, 10, CFG) is TermStatus.DIVERGED
-
 
 class TestHoverEnv:
     def test_counter_shared_across_pool(self):

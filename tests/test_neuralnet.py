@@ -11,7 +11,6 @@ from tiltrl.config import default_config, write_config
 from tiltrl.env import TermStatus, write_trace
 from tiltrl.evalsuite import TrialResult
 from tiltrl.ppo import TrainConfig
-from tiltrl.transfer import TransferReport
 from tiltrl.neuralnet import (AdamState, Mlp, ShapeMismatchError,
                               adam_step, forward, gaussian_log_prob, gradients,
                               load_checkpoint, make_mlp, save_checkpoint,
@@ -325,12 +324,6 @@ class _DiskFullFile:
         raise OSError("disk full")
 
 
-def _report(version):
-    report = TransferReport()
-    report.add("layer0", "fresh_xavier", version)
-    return report
-
-
 _NET = make_mlp([3, 4, 2], np.random.default_rng(0))
 _TRIAL = TrialResult(trial=0, seed=7, end=TermStatus.REACHED, steps_to_reach=1,
                      final_error_m=0.1, final_tilt_rad=(0.0,) * 4)
@@ -345,8 +338,8 @@ ARTIFACT_WRITERS = {
     "manifest": lambda d, v: cli.write_manifest(str(d), {"seed": v}),
     "summary": lambda d, v: cli._write_summary(str(d), [dataclasses.replace(_TRIAL, seed=v)]),
     "trace": lambda d, v: write_trace(d / "trace.csv", [f"{v},0.5"]),
-    "transfer_reports": lambda d, v: cli._write_transfer_reports(str(d), _report(v),
-                                                                 _report(v)),
+    "transfer_reports": lambda d, v: cli._write_transfer_report(
+        str(d), {"actor": [("W0", "fresh", v)], "critic": [("W0", "fresh", v)]}),
 }
 
 

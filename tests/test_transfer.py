@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tiltrl.neuralnet as nn
-from tiltrl import ppo, transfer
+from tiltrl import cli, ppo, transfer
 from tiltrl.dynamics import SimParams
 from tiltrl.env import EpisodeConfig, HoverEnv, Platform, RewardWeights
 from tiltrl.neuralnet import ShapeMismatchError
@@ -17,6 +17,24 @@ def quad_nets(hidden=(64, 64), seed=0):
     return actor, critic
 
 
+def category_counts(rows) -> dict[str, int]:
+    counts = dict.fromkeys(transfer.CATEGORIES, 0)
+    for _, category, n in rows:
+        counts[category] += n
+    return counts
+
+
+def assert_report_invariant(net, rows):
+    """A transfer report's rows count every parameter of the net once, its
+    transferred_frozen count is the net's frozen count, and each fresh row
+    of a bias block covers zero entries of that bias."""
+    assert sum(n for _, _, n in rows) == net.n_params()
+    assert category_counts(rows)["transferred_frozen"] == net.frozen.sum()
+    for block, category, n in rows:
+        if category == "fresh" and block.startswith("b"):
+            assert np.count_nonzero(net.biases[int(block[1:])] == 0.0) >= n, block
+
+
 class TestBuildTiltActor:
     def test_shapes(self):
         actor, _ = quad_nets()
@@ -27,20 +45,18 @@ class TestBuildTiltActor:
     def test_frozen_count_64_64(self):
         # 64*18 shared input cols + 64 + 64*64 + 64 = 5376 frozen params.
         actor, _ = quad_nets()
-        net, report = transfer.build_tilt_actor(actor, np.random.default_rng(1))
+        net, copied = transfer.build_tilt_actor(actor, np.random.default_rng(1))
         frozen = sum(f.sum() for f in net.frozen_w) + sum(
             f.sum() for f in net.frozen_b)
         assert frozen == 5376
-        assert report.count("transferred_frozen") == 5376
+        assert category_counts(transfer.provenance(net, copied))["transferred_frozen"] == 5376
 
     def test_report_partitions_all_params(self):
         actor, _ = quad_nets(hidden=(32, 16))
-        net, report = transfer.build_tilt_actor(actor, np.random.default_rng(1))
-        assert report.total() == net.n_params()
-        assert (report.count("transferred_frozen")
-                + report.count("transferred_trainable")
-                + report.count("fresh_xavier")) == report.total()
-        assert report.count("transferred_trainable") == 0
+        net, copied = transfer.build_tilt_actor(actor, np.random.default_rng(1))
+        counts = category_counts(transfer.provenance(net, copied))
+        assert sum(counts.values()) == net.n_params()
+        assert counts["transferred_trainable"] == 0
 
     def test_copied_blocks_identical(self):
         actor, _ = quad_nets()
@@ -99,12 +115,12 @@ class TestBuildTiltCritic:
 
     def test_hidden_and_output_copied_input_fresh(self):
         _, critic = quad_nets()
-        net, report = transfer.build_tilt_critic(critic, np.random.default_rng(1))
+        net, copied = transfer.build_tilt_critic(critic, np.random.default_rng(1))
         assert net.weights[1].tobytes() == critic.weights[1].tobytes()
         assert net.weights[2].tobytes() == critic.weights[2].tobytes()
         assert net.weights[0].shape == (64, 22)
         np.testing.assert_allclose(net.biases[0], 0.0)
-        assert report.count("fresh_xavier") == 64 * 22 + 64
+        assert category_counts(transfer.provenance(net, copied))["fresh"] == 64 * 22 + 64
 
     def test_rejects_wrong_shape(self):
         net = nn.make_mlp([18, 64, 64, 4], np.random.default_rng(0))
@@ -112,16 +128,39 @@ class TestBuildTiltCritic:
             transfer.build_tilt_critic(net, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("hidden", [(64, 64), (32, 16)])
+@pytest.mark.parametrize("build", [transfer.build_tilt_actor, transfer.build_tilt_critic])
+def test_report_invariant(hidden, build):
+    actor, critic = quad_nets(hidden)
+    quad = actor if build is transfer.build_tilt_actor else critic
+    net, copied = build(quad, np.random.default_rng(1))
+    assert_report_invariant(net, transfer.provenance(net, copied))
+
+
 class TestReportFormats:
-    def test_text_and_csv(self):
-        actor, _ = quad_nets()
-        _, report = transfer.build_tilt_actor(actor, np.random.default_rng(1))
-        text = report.to_text()
-        assert "transferred_frozen" in text and "fresh_xavier" in text
-        assert text.splitlines()[-1].startswith("total")
-        csv = report.to_csv().splitlines()
-        assert csv[0] == "layer,category,count"
-        assert len(csv) == len(report.entries) + 1
+    def test_csv(self, tmp_path):
+        # 32-16 hidden layers: W0 is 32 x 22, W1 16 x 32, W2 8 x 16 or 1 x 16.
+        actor, critic = quad_nets(hidden=(32, 16))
+        rng = np.random.default_rng(1)
+        reports = {name: transfer.provenance(*build(quad, rng)) for name, build, quad in (
+            ("actor", transfer.build_tilt_actor, actor),
+            ("critic", transfer.build_tilt_critic, critic))}
+        cli._write_transfer_report(str(tmp_path), reports)
+        assert (tmp_path / "transfer_report.csv").read_text() == (
+            "net,block,category,count\n"
+            "actor,W0,transferred_frozen,576\n"
+            "actor,W0,fresh,128\n"
+            "actor,b0,transferred_frozen,32\n"
+            "actor,W1,transferred_frozen,512\n"
+            "actor,b1,transferred_frozen,16\n"
+            "actor,W2,fresh,128\n"
+            "actor,b2,fresh,8\n"
+            "critic,W0,fresh,704\n"
+            "critic,b0,fresh,32\n"
+            "critic,W1,transferred_trainable,512\n"
+            "critic,b1,transferred_trainable,16\n"
+            "critic,W2,transferred_trainable,16\n"
+            "critic,b2,transferred_trainable,1\n")
 
 
 class TestFrozenThroughTraining:
