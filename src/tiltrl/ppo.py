@@ -11,6 +11,10 @@ all steps of env 0, then env 1, and so on.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import traceback
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -174,6 +178,56 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
     return adv, adv + buffer.values
 
 
+def _minibatches(perms: list[np.ndarray], size: int, *arrays: np.ndarray):
+    """Each epoch's rows of `arrays`, gathered once, cut into minibatch views."""
+    for perm in perms:
+        rows = [a[perm] for a in arrays]
+        for start in range(0, len(perm), size):
+            yield [r[start:start + size] for r in rows]
+
+
+def _policy_steps(policy: nn.Mlp, opt: nn.AdamState, buffer: RolloutBuffer,
+                  adv: np.ndarray, perms: list[np.ndarray], cfg: TrainConfig, lr: float):
+    """Clipped-surrogate steps through the first non-finite policy loss.
+    Returns (loss, ratios, mean(old_logp - logp)) for each minibatch."""
+    steps = []
+    for ob, ac, a_n, old_logp in _minibatches(perms, cfg.minibatch_size, buffer.obs,
+                                              buffer.actions, adv, buffer.log_probs):
+        pol_acts = nn.activations(policy, ob)
+        mean = pol_acts[-1]
+        log_ratio = nn.gaussian_log_prob(mean, cfg.sigma, ac) - old_logp
+        ratio = np.exp(log_ratio)
+        unclipped = ratio * a_n
+        clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * a_n
+        loss = float(-np.minimum(unclipped, clipped).mean())
+        steps.append((loss, ratio, -float(np.mean(log_ratio))))
+        if not math.isfinite(loss):
+            break
+        # d(-surrogate)/d(mean): gradient flows only where the
+        # unclipped branch is active.
+        use = (unclipped <= clipped).astype(float)
+        coef = -(use * ratio * a_n) / len(ob)
+        up_pol = coef[:, None] * (ac - mean) / (cfg.sigma * cfg.sigma)
+        nn.adam_step(policy, opt, nn.gradients(policy, ob, up_pol, acts=pol_acts), lr)
+    return steps
+
+
+def _value_steps(critic: nn.Mlp, opt: nn.AdamState, buffer: RolloutBuffer,
+                 returns: np.ndarray, perms: list[np.ndarray], cfg: TrainConfig, lr: float):
+    """Value-regression steps through the first non-finite value loss.
+    Returns the value loss per minibatch."""
+    losses = []
+    for ob, ret in _minibatches(perms, cfg.minibatch_size, buffer.obs, returns):
+        cri_acts = nn.activations(critic, ob)
+        err = cri_acts[-1][:, 0] - ret
+        losses.append(cfg.value_loss_coef * float(np.mean(err * err)))
+        if not math.isfinite(losses[-1]):
+            break
+        up_val = (cfg.value_loss_coef * 2.0 * err / len(ob))[:, None]
+        nn.adam_step(critic, opt, nn.gradients(critic, ob, up_val, acts=cri_acts), lr)
+    return losses
+
+
 def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
                critic_opt: nn.AdamState, buffer: RolloutBuffer,
                cfg: TrainConfig, progress: float,
@@ -182,65 +236,53 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
 
     Advantages (compute_gae) are normalized once per update; the learning
     rate follows the linear schedule lr0 * (1 - progress). Frozen parameters
-    stay untouched.
+    stay untouched. Actor and critic share no parameters, so a forked child
+    (POSIX) takes the critic's steps while this process takes the policy's,
+    and hands the critic back bit for bit through shared memory.
     """
     adv, returns = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     lr = cfg.lr0 * (1.0 - progress)
-    sig2 = cfg.sigma * cfg.sigma
-    t_total = len(buffer)
-
-    pol_losses, val_losses, clip_fracs = [], [], []
-    for _ in range(cfg.epochs_per_update):
-        perm = rng.permutation(t_total)
-        for start in range(0, t_total, cfg.minibatch_size):
-            idx = perm[start:start + cfg.minibatch_size]
-            ob = buffer.obs[idx]
-            ac = buffer.actions[idx]
-            a_n = adv[idx]
-            ret = returns[idx]
-            old_logp = buffer.log_probs[idx]
-            nb = len(idx)
-
-            pol_acts = nn.activations(policy, ob)
-            mean = pol_acts[-1]
-            logp = nn.gaussian_log_prob(mean, cfg.sigma, ac)
-            ratio = np.exp(logp - old_logp)
-            unclipped = ratio * a_n
-            clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * a_n
-            surrogate = np.minimum(unclipped, clipped)
-            pol_loss = -surrogate.mean()
-
-            # d(-surrogate)/d(mean): gradient flows only where the
-            # unclipped branch is active.
-            use = (unclipped <= clipped).astype(float)
-            coef = -(use * ratio * a_n) / nb
-            up_pol = coef[:, None] * (ac - mean) / sig2
-            g_pol = nn.gradients(policy, ob, up_pol, acts=pol_acts)
-
-            cri_acts = nn.activations(critic, ob)
-            v = cri_acts[-1][:, 0]
-            err = v - ret
-            val_loss = cfg.value_loss_coef * float(np.mean(err * err))
-            up_val = (cfg.value_loss_coef * 2.0 * err / nb)[:, None]
-            g_val = nn.gradients(critic, ob, up_val, acts=cri_acts)
-
-            if not (math.isfinite(pol_loss) and math.isfinite(val_loss)):
-                raise NonFiniteLossError(
-                    f"non-finite loss: policy={pol_loss} value={val_loss} "
-                    f"ratio range=({ratio.min()}, {ratio.max()})")
-
-            nn.adam_step(policy, policy_opt, g_pol, lr)
-            nn.adam_step(critic, critic_opt, g_val, lr)
-
-            pol_losses.append(float(pol_loss))
-            val_losses.append(val_loss)
-            clip_fracs.append(float(np.mean(np.abs(ratio - 1.0) > cfg.clip_eps)))
-
+    perms = [rng.permutation(len(buffer)) for _ in range(cfg.epochs_per_update)]
+    n = critic.params.size
+    # Adam step count, number of value losses, params, m, v, value losses.
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (2 + 3 * n + len(buffer) * len(perms))))
+    if (pid := os.fork()) == 0:
+        try:
+            val = _value_steps(critic, critic_opt, buffer, returns, perms, cfg, lr)
+            shared[:2 + 3 * n + len(val)] = np.r_[critic_opt.step_count, len(val),
+                                                  critic.params, critic_opt.m, critic_opt.v, val]
+            os._exit(0)
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(1)
+    try:
+        pol_losses, ratios, kls = zip(*_policy_steps(policy, policy_opt, buffer, adv,
+                                                     perms, cfg, lr))
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status != 0:
+        raise RuntimeError(f"the critic's update process ended with status {status}")
+    val_losses = shared[2 + 3 * n:2 + 3 * n + int(shared[1])].tolist()
+    k = min(len(pol_losses), len(val_losses)) - 1   # each side stops at its first non-finite loss
+    if not (math.isfinite(pol_losses[k]) and math.isfinite(val_losses[k])):
+        raise NonFiniteLossError(
+            f"non-finite loss: policy={pol_losses[k]} value={val_losses[k]} "
+            f"ratio range=({ratios[k].min()}, {ratios[k].max()})")
+    critic.params[:], critic_opt.m[:], critic_opt.v[:] = np.split(shared[2:2 + 3 * n], 3)
+    critic_opt.step_count = int(shared[0])
+    var_ret = np.var(returns)
     return {
         "policy_loss": float(np.mean(pol_losses)),
         "value_loss": float(np.mean(val_losses)),
-        "clip_fraction": float(np.mean(clip_fracs)),
+        "clip_fraction": float(np.mean([np.mean(np.abs(r - 1.0) > cfg.clip_eps) for r in ratios])),
+        "approx_kl": float(np.mean(kls)),
+        "explained_variance": (float(1.0 - np.var(returns - buffer.values) / var_ret)
+                               if var_ret > 0 else math.nan),
         "lr": lr,
     }
 
@@ -259,6 +301,8 @@ class TrainLogRow:
     n_diverged: int
     n_max_steps: int
     action_clip_fraction: float  # share of pre-clamp action entries with |a| > 1
+    approx_kl: float             # mean over minibatches of mean(old_logp - logp)
+    explained_variance: float    # 1 - var(returns - values) / var(returns)
 
     def csv(self) -> str:
         """The row in TRAIN_LOG_HEADER's columns: ints as written, floats
@@ -299,19 +343,15 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
             row = TrainLogRow(
                 update_index=u,
                 env_steps=(u + 1) * cfg.rollout_horizon,
-                lr=losses["lr"],
                 mean_ep_reward=(float(np.mean(buf.episode_returns))
                                 if buf.episode_returns else math.nan),
                 mean_ep_len=(float(np.mean(buf.episode_lengths))
                              if buf.episode_lengths else math.nan),
-                policy_loss=losses["policy_loss"],
-                value_loss=losses["value_loss"],
-                clip_fraction=losses["clip_fraction"],
                 n_out_of_bounds=buf.episode_ends.count(TermStatus.OUT_OF_BOUNDS),
                 n_diverged=buf.episode_ends.count(TermStatus.DIVERGED),
                 n_max_steps=buf.episode_ends.count(TermStatus.MAX_STEPS),
                 action_clip_fraction=float(np.mean(np.abs(buf.actions) > 1.0)),
-            )
+                **losses)
             log.append(row)
             if log_fh:
                 log_fh.write(row.csv() + "\n")

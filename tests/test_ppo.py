@@ -1,5 +1,9 @@
+import dataclasses
 import itertools
 import math
+import os
+import signal
+import statistics
 
 import numpy as np
 import pytest
@@ -406,6 +410,107 @@ class TestPpoUpdate:
         np.testing.assert_allclose(np.exp(logp - buf.log_probs), 1.0,
                                    atol=1e-12)
 
+    def update(self, policy, critic, cfg, buf, rng=None):
+        opts = nn.AdamState.for_net(policy), nn.AdamState.for_net(critic)
+        stats = ppo.ppo_update(policy, critic, *opts, buf, cfg, 0.0,
+                               rng or np.random.default_rng(0))
+        return stats, opts
+
+    def test_permutations_and_update_reproducible(self):
+        # The update draws one rng.permutation(T) per epoch and nothing
+        # else; the same inputs give the same bits, Adam moments included.
+        # A minibatch of 24 leaves a short last minibatch of 16 each epoch.
+        def run():
+            policy, critic, cfg, buf = self.small_setup()
+            cfg = dataclasses.replace(cfg, minibatch_size=24)
+            rng = np.random.default_rng(5)
+            _, opts = self.update(policy, critic, cfg, buf, rng)
+            arrays = [policy.params, critic.params] + [a for o in opts for a in (o.m, o.v)]
+            return rng, cfg, len(buf), [a.tobytes() for a in arrays], [o.step_count for o in opts]
+
+        rng, cfg, t_total, arrays, counts = run()
+        twin = np.random.default_rng(5)
+        for _ in range(cfg.epochs_per_update):
+            twin.permutation(t_total)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert counts == [cfg.epochs_per_update * 3] * 2
+        _, _, _, arrays2, counts2 = run()
+        assert arrays == arrays2 and counts == counts2
+
+    def test_nonfinite_policy_loss_raises(self):
+        policy, critic, cfg, buf = self.small_setup()
+        buf.log_probs[5] = np.nan
+        with pytest.raises(ppo.NonFiniteLossError,
+                           match=r"policy=nan value=\d\S* ratio range=\(nan, nan\)"):
+            self.update(policy, critic, cfg, buf)
+
+    @pytest.mark.parametrize("bias", [np.inf, np.nan])
+    def test_nonfinite_value_loss_raises(self, bias):
+        policy, critic, cfg, buf = self.small_setup()
+        critic.biases[-1][:] = bias
+        # Arithmetic on an infinite loss may set numpy's invalid flag; only
+        # the error raised for the loss matters here.
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ppo.NonFiniteLossError,
+                match=rf"policy=-?\d\S* value={bias} ratio range=\(\d\S*, \d\S*\)"):
+            self.update(policy, critic, cfg, buf)
+
+    def assert_no_child_left(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_reaped(self):
+        policy, critic, cfg, buf = self.small_setup()
+        self.update(policy, critic, cfg, buf)
+        self.assert_no_child_left()
+        buf.log_probs[:] = np.nan
+        with pytest.raises(ppo.NonFiniteLossError):
+            self.update(policy, critic, cfg, buf)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("side, action, message", [
+        ("_policy_steps", "interrupt", None),
+        ("_value_steps", "raise", "status 1$"),
+        ("_value_steps", "kill", f"status {-signal.SIGKILL}$"),
+    ])
+    def test_failure_leaves_critic_and_no_child(self, monkeypatch, side, action,
+                                                message):
+        # A policy-side exception kills the critic's child; a child that
+        # fails or is killed is an error naming its status. Either way the
+        # critic and its Adam state keep their values from before the update.
+        def fail(*_):
+            if action == "interrupt":
+                raise KeyboardInterrupt
+            if action == "raise":
+                raise ValueError("critic step failed")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        policy, critic, cfg, buf = self.small_setup()
+        before = critic.params.copy()
+        monkeypatch.setattr(ppo, side, fail)
+        opt = nn.AdamState.for_net(critic)
+        with pytest.raises(KeyboardInterrupt if message is None else RuntimeError,
+                           match=message):
+            ppo.ppo_update(policy, critic, nn.AdamState.for_net(policy), opt,
+                           buf, cfg, 0.0, np.random.default_rng(0))
+        assert critic.params.tobytes() == before.tobytes()
+        assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
+        self.assert_no_child_left()
+
+    def test_diagnostics(self):
+        policy, critic, cfg, buf = self.small_setup()
+        adv, returns = ppo.compute_gae(buf, cfg.gamma, cfg.gae_lambda)
+        # At lr = 0 the policy never moves, so every ratio is 1 and the
+        # approximate KL vanishes up to the rounding of the forward pass.
+        stats = ppo.ppo_update(policy, critic, nn.AdamState.for_net(policy),
+                               nn.AdamState.for_net(critic), buf, cfg, 1.0,
+                               np.random.default_rng(0))
+        assert stats["clip_fraction"] == 0.0
+        assert abs(stats["approx_kl"]) < 1e-12
+        # returns - values is the advantage.
+        want = 1.0 - statistics.pvariance(adv) / statistics.pvariance(returns)
+        assert stats["explained_variance"] == pytest.approx(want, rel=1e-9)
+
 
 class TestTrainLoop:
     def test_short_train_runs_and_logs(self, tmp_path):
@@ -420,6 +525,10 @@ class TestTrainLoop:
         lines = log_path.read_text().strip().split("\n")
         assert lines[0] == ppo.TRAIN_LOG_HEADER
         assert len(lines) == 5
+        assert lines[0].split(",")[-3:] == ["action_clip_fraction", "approx_kl",
+                                            "explained_variance"]
+        assert all(math.isfinite(r.approx_kl) and r.explained_variance <= 1.0
+                   for r in log)
 
     def test_log_counts_episode_ends_and_action_clipping(self, tmp_path):
         envs = [FixedRewardEnv(), FixedRewardEnv()]
