@@ -136,18 +136,8 @@ def cmd_train(args) -> int:
     if source:
         _write_transfer_report(args.out, {"actor": transfer.provenance(policy, a_copied),
                                           "critic": transfer.provenance(critic, c_copied)})
-    p_opt, c_opt = nn.AdamState.for_net(policy), nn.AdamState.for_net(critic)
-
-    def save(name, steps):
-        nn.save_checkpoint(os.path.join(args.out, name),
-                           {"actor": (policy, p_opt), "critic": (critic, c_opt)}, seed, steps)
-
-    log = ppo.train(make_envs(vehicle, cfg, seed), policy, critic, cfg.train,
-                    np.random.default_rng(train_seq), policy_opt=p_opt, critic_opt=c_opt,
-                    log_path=os.path.join(args.out, "train_log.csv"),
-                    checkpoint_fn=lambda u: save(f"checkpoint_{u + 1:05d}.bin",
-                                                 (u + 1) * cfg.train.rollout_horizon))
-    save("checkpoint_final.bin", log[-1].env_steps if log else 0)
+    ppo.train(make_envs(vehicle, cfg, seed), policy, critic, cfg.train,
+              np.random.default_rng(train_seq), args.out)
     write_manifest(args.out, {**manifest, "completed": True})
     return 0
 

@@ -3,14 +3,16 @@ training, and PID gains.
 
 File format: one `key = value` per line, `#` comments, vectors as
 comma-separated numbers. The keys are the fields of the five section
-dataclasses (SI units); each value takes its default's type, and a vector
-as many numbers as its default has. A config file must contain every key;
-any TILTRL_<KEY> environment variable overrides the corresponding value.
+dataclasses (SI units); each value takes its default's type, a vector as
+many numbers as its default has, and every number must be finite. A config
+file must contain every key; any TILTRL_<KEY> environment variable
+overrides the corresponding value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 
 from .dynamics import SimParams
@@ -52,13 +54,16 @@ def default_config() -> RunConfig:
 
 def _parse_value(key: str, raw: str):
     _, default = SCHEMA[key]
+    vector = isinstance(default, tuple)
     try:
-        if not isinstance(default, tuple):
-            return type(default)(raw)
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        value = tuple(type(default[0])(p) for p in parts)
+        parts = [p.strip() for p in raw.split(",") if p.strip()] if vector else [raw]
+        value = tuple(type(default[0] if vector else default)(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
+    if not all(map(math.isfinite, value)):
+        raise ConfigError(f"key '{key}' needs finite numbers, got {raw!r}")
+    if not vector:
+        return value[0]
     if len(value) != len(default):
         raise ConfigError(f"key '{key}' needs {len(default)} comma-separated values,"
                           f" got {len(value)}: {raw!r}")

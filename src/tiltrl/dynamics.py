@@ -169,15 +169,7 @@ def derivative(y, thrust_cmd, tilt_cmd, p: SimParams) -> list:
 
     # World-frame acceleration: rotate body force, subtract gravity.
     inv_m = 1.0 / p.mass_kg
-    r00 = 1 - 2 * (qy * qy + qz * qz)
-    r01 = 2 * (qx * qy - qw * qz)
-    r02 = 2 * (qx * qz + qw * qy)
-    r10 = 2 * (qx * qy + qw * qz)
-    r11 = 1 - 2 * (qx * qx + qz * qz)
-    r12 = 2 * (qy * qz - qw * qx)
-    r20 = 2 * (qx * qz - qw * qy)
-    r21 = 2 * (qy * qz + qw * qx)
-    r22 = 1 - 2 * (qx * qx + qy * qy)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rot_entries(qw, qx, qy, qz)
     ax = (r00 * fx + r01 * fy + r02 * fz) * inv_m
     ay = (r10 * fx + r11 * fy + r12 * fz) * inv_m
     az = (r20 * fx + r21 * fy + r22 * fz) * inv_m - p.gravity_mps2

@@ -215,14 +215,6 @@ class HoverEnv:
         self.episode_return = 0.0
         self._target = tuple(map(float, cfg.target_position_m))
 
-    @property
-    def obs_dim(self) -> int:
-        return self.platform.obs_dim
-
-    @property
-    def act_dim(self) -> int:
-        return self.platform.act_dim
-
     def observe(self) -> np.ndarray:
         return observation(self.y, self._target, self.platform)
 
@@ -239,7 +231,7 @@ class HoverEnv:
         try:
             y = step_flat(self.y, thrust, rates, self.params)
         except NonFiniteError:
-            return np.zeros(self.obs_dim), 0.0, TermStatus.DIVERGED
+            return np.zeros(self.platform.obs_dim), 0.0, TermStatus.DIVERGED
         self.y = y
         obs = observation(y, self._target, self.platform)
         r = reward(obs, a, self.weights)

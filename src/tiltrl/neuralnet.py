@@ -259,7 +259,10 @@ def _read(fh, fmt):
 
 def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
     (name_len,) = _read(fh, "<B")
-    name = _read_exact(fh, name_len).decode("ascii")
+    try:
+        name = _read_exact(fh, name_len).decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {fh.name!r}: a network name is not ASCII") from exc
     output_tanh, n_layers = _read(fh, "<BB")
     shapes = [_read(fh, "<II") for _ in range(n_layers)]
     if not shapes or any(cols != rows for (rows, _), (_, cols) in zip(shapes, shapes[1:])):

@@ -49,8 +49,8 @@ class TrainConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be > 0")
-        for name in ("total_steps", "epochs_per_update", "minibatch_size",
-                     "rollout_horizon", "n_envs"):
+        for name in ("total_steps", "epochs_per_update", "minibatch_size", "sigma",
+                     "rollout_horizon", "n_envs", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.rollout_horizon % self.n_envs != 0:
@@ -74,15 +74,11 @@ class RolloutBuffer:
     bootstrap: np.ndarray  # (n_envs,) critic value of each env's tail state
     n_envs: int
     # (T,) critic value of the final state where a MAX_STEPS ending truncated
-    # the episode at this step; zeros (no truncation) when not given.
-    truncation_values: np.ndarray | None = None
+    # the episode at this step, else zero.
+    truncation_values: np.ndarray
     episode_returns: list = field(default_factory=list)
     episode_lengths: list = field(default_factory=list)
     episode_ends: list = field(default_factory=list)   # TermStatus per episode
-
-    def __post_init__(self):
-        if self.truncation_values is None:
-            self.truncation_values = np.zeros(len(self.rewards))
 
     def __len__(self):
         return len(self.rewards)
@@ -104,7 +100,9 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     counter in time order."""
     n_envs = len(envs)
     steps_per_env = cfg.rollout_horizon // n_envs
-    obs_dim, act_dim = envs[0].obs_dim, envs[0].act_dim
+    obs = np.array([env.observe() if env.y is not None else env.reset()
+                    for env in envs], dtype=float)
+    obs_dim, act_dim = obs.shape[1], policy.out_dim
 
     obs_buf = np.empty((n_envs, steps_per_env, obs_dim))
     mean_buf = np.empty((n_envs, steps_per_env, act_dim))
@@ -115,9 +113,6 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
     act_buf = np.empty_like(noise)
     episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in envs]
-
-    obs = np.array([env.observe() if env.y is not None else env.reset()
-                    for env in envs], dtype=float)
     for t in range(steps_per_env):
         obs_buf[:, t] = obs
         mean = nn.forward(policy, obs[:, None, :])[:, 0]
@@ -315,31 +310,24 @@ TRAIN_LOG_HEADER = ",".join(f.name for f in fields(TrainLogRow))
 
 
 def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
-          cfg: TrainConfig, rng: np.random.Generator,
-          policy_opt: nn.AdamState | None = None,
-          critic_opt: nn.AdamState | None = None,
-          log_path=None, checkpoint_fn=None) -> list[TrainLogRow]:
+          cfg: TrainConfig, rng: np.random.Generator, out_dir) -> list[TrainLogRow]:
     """Alternate rollout and update until total_steps env steps are used.
 
-    checkpoint_fn(update_index) is called every checkpoint_every updates
-    when provided. Returns the log.
+    Writes out_dir/train_log.csv row by row, checkpoint_NNNNN.bin after
+    every checkpoint_every-th update and checkpoint_final.bin at the end;
+    each checkpoint holds both nets with their Adam states and the env steps
+    so far. Returns the log.
     """
-    if policy_opt is None:
-        policy_opt = nn.AdamState.for_net(policy)
-    if critic_opt is None:
-        critic_opt = nn.AdamState.for_net(critic)
-
+    policy_opt, critic_opt = nn.AdamState.for_net(policy), nn.AdamState.for_net(critic)
+    nets = {"actor": (policy, policy_opt), "critic": (critic, critic_opt)}
     n_updates = max(1, cfg.total_steps // cfg.rollout_horizon)
     log: list[TrainLogRow] = []
-    log_fh = open(log_path, "w") if log_path else None
-    if log_fh:
+    with open(os.path.join(out_dir, "train_log.csv"), "w") as log_fh:
         log_fh.write(TRAIN_LOG_HEADER + "\n")
-    try:
         for u in range(n_updates):
             buf = collect_rollout(policy, critic, envs, cfg, rng)
-            progress = u / n_updates
-            losses = ppo_update(policy, critic, policy_opt, critic_opt,
-                                buf, cfg, progress, rng)
+            losses = ppo_update(policy, critic, policy_opt, critic_opt, buf, cfg,
+                                u / n_updates, rng)
             row = TrainLogRow(
                 update_index=u,
                 env_steps=(u + 1) * cfg.rollout_horizon,
@@ -353,12 +341,11 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
                 action_clip_fraction=float(np.mean(np.abs(buf.actions) > 1.0)),
                 **losses)
             log.append(row)
-            if log_fh:
-                log_fh.write(row.csv() + "\n")
-                log_fh.flush()
-            if checkpoint_fn and (u + 1) % cfg.checkpoint_every == 0:
-                checkpoint_fn(u)
-    finally:
-        if log_fh:
-            log_fh.close()
+            log_fh.write(row.csv() + "\n")
+            log_fh.flush()
+            if (u + 1) % cfg.checkpoint_every == 0:
+                nn.save_checkpoint(os.path.join(out_dir, f"checkpoint_{u + 1:05d}.bin"),
+                                   nets, cfg.seed, row.env_steps)
+    nn.save_checkpoint(os.path.join(out_dir, "checkpoint_final.bin"), nets, cfg.seed,
+                       log[-1].env_steps)
     return log

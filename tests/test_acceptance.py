@@ -415,7 +415,8 @@ class TestGaeOracle:
             buf = ppo.RolloutBuffer(
                 obs=np.zeros((t, 1)), actions=np.zeros((t, 1)),
                 log_probs=np.zeros(t), rewards=rewards, values=values,
-                dones=dones, bootstrap=bootstrap, n_envs=1)
+                dones=dones, bootstrap=bootstrap, n_envs=1,
+                truncation_values=np.zeros(t))
             adv, _ = ppo.compute_gae(buf, gamma, lam)
             # O(T^2) independent recomputation.
             vals_next = np.append(values[1:], bootstrap[0])

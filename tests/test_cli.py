@@ -325,6 +325,7 @@ CORRUPTIONS = {
     "unchained_layers": lambda d: d[:45] + struct.pack("<I", 32) + d[49:],
     # A 16 x 2**31 first layer still chains, but needs 288 GiB the file lacks.
     "shape_past_end": lambda d: d[:37] + struct.pack("<I", 2 ** 31) + d[41:],
+    "non_ascii_name": lambda d: d[:26] + b"\xff" + d[27:],
 }
 
 
@@ -340,6 +341,16 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corrup
     assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "checkpoint" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("var, raw", [("TILTRL_CHECKPOINT_EVERY", "0"),
+                                      ("TILTRL_SIGMA", "0"), ("TILTRL_DT_S", "nan")])
+def test_unusable_config_value_is_runtime_error(tmp_path, capsys, var, raw):
+    assert run(tmp_path, "train-quad", "--steps", "64", "--out", str(tmp_path / "o"),
+               env={var: raw}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and var[len("TILTRL_"):].lower() in err
     assert not (tmp_path / "o").exists()
 
 

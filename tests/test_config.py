@@ -59,6 +59,18 @@ class TestRoundTrip:
         assert load_config(str(path)).sim.mass_kg == 2.0
 
 
+def assert_line_rejected_by_key(tmp_path, line):
+    """A default config file whose line for line's key is replaced by line
+    fails to load with that key named."""
+    key = line.split(" = ")[0]
+    text = "".join(l + "\n" for l in format_config(default_config()).splitlines()
+                   if not l.startswith(key + " "))
+    path = tmp_path / "run.cfg"
+    path.write_text(text + line + "\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+
+
 class TestErrors:
     def test_missing_key_named(self, tmp_path):
         lines = format_config(default_config()).splitlines()
@@ -86,13 +98,14 @@ class TestErrors:
                                       "thrust_range_n = 1",
                                       "hidden_sizes = 16, 16, 16"])
     def test_vector_length_named(self, tmp_path, line):
-        key = line.split(" = ")[0]
-        text = "".join(l + "\n" for l in format_config(default_config()).splitlines()
-                       if not l.startswith(key + " "))
-        path = tmp_path / "run.cfg"
-        path.write_text(text + line + "\n")
-        with pytest.raises(ConfigError, match=key):
-            load_config(str(path))
+        assert_line_rejected_by_key(tmp_path, line)
+
+    @pytest.mark.parametrize("line", ["dt_s = nan", "mass_kg = inf",
+                                      "inertia_diag = 0.0082, nan, 0.0164",
+                                      "checkpoint_every = 0", "sigma = 0.0",
+                                      "sigma = -1.0"])
+    def test_unusable_value_named(self, tmp_path, line):
+        assert_line_rejected_by_key(tmp_path, line)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -113,6 +126,15 @@ class TestEnvOverride:
     @pytest.mark.parametrize("var, raw", [("TILTRL_INERTIA_DIAG", "1, 2"),
                                           ("TILTRL_THRUST_RANGE_N", "1")])
     def test_env_var_vector_length_named(self, monkeypatch, var, raw):
+        monkeypatch.setenv(var, raw)
+        with pytest.raises(ConfigError, match=var[len("TILTRL_"):].lower()):
+            load_config(None)
+
+    @pytest.mark.parametrize("var, raw", [("TILTRL_DT_S", "nan"), ("TILTRL_DT_S", "-inf"),
+                                          ("TILTRL_THRUST_RANGE_N", "0, inf"),
+                                          ("TILTRL_CHECKPOINT_EVERY", "0"),
+                                          ("TILTRL_SIGMA", "0"), ("TILTRL_SIGMA", "-1")])
+    def test_env_var_unusable_value_named(self, monkeypatch, var, raw):
         monkeypatch.setenv(var, raw)
         with pytest.raises(ConfigError, match=var[len("TILTRL_"):].lower()):
             load_config(None)

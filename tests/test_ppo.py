@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import math
@@ -64,6 +65,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 1.0}, {"gamma": -0.1}, {"clip_eps": 0.0},
         {"total_steps": 0}, {"rollout_horizon": 100, "n_envs": 8},
+        {"checkpoint_every": 0}, {"sigma": 0.0}, {"sigma": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -72,9 +74,6 @@ class TestTrainConfig:
 
 class FixedRewardEnv:
     """Minimal env stand-in: fixed observation, reward 1.0, episode of 5."""
-
-    obs_dim = 3
-    act_dim = 2
 
     def __init__(self):
         self.y = None
@@ -268,7 +267,7 @@ class TestGae:
             obs=np.zeros((3, 1)), actions=np.zeros((3, 1)),
             log_probs=np.zeros(3), rewards=np.ones(3),
             values=np.array([2.0, 1.0, 0.5]), dones=np.zeros(3),
-            bootstrap=np.array([0.4]), n_envs=1)
+            bootstrap=np.array([0.4]), n_envs=1, truncation_values=np.zeros(3))
         adv, ret = ppo.compute_gae(buf, 0.95, 0.95)
         np.testing.assert_allclose(adv, [1.0954530, 1.2692, 0.88], atol=1e-7)
         np.testing.assert_allclose(ret, adv + buf.values, atol=1e-12)
@@ -278,7 +277,7 @@ class TestGae:
             obs=np.zeros((2, 1)), actions=np.zeros((2, 1)),
             log_probs=np.zeros(2), rewards=np.array([1.0, 2.0]),
             values=np.array([0.5, 0.25]), dones=np.array([1.0, 0.0]),
-            bootstrap=np.array([3.0]), n_envs=1)
+            bootstrap=np.array([3.0]), n_envs=1, truncation_values=np.zeros(2))
         adv, _ = ppo.compute_gae(buf, 0.95, 0.95)
         # Step 0 ends its episode: A0 = r0 - V0 exactly.
         assert adv[0] == pytest.approx(1.0 - 0.5)
@@ -298,7 +297,8 @@ class TestGae:
             buf = ppo.RolloutBuffer(
                 obs=np.zeros((t, 1)), actions=np.zeros((t, 1)),
                 log_probs=np.zeros(t), rewards=rewards, values=values,
-                dones=dones, bootstrap=bootstrap, n_envs=1)
+                dones=dones, bootstrap=bootstrap, n_envs=1,
+                truncation_values=np.zeros(t))
             adv, _ = ppo.compute_gae(buf, gamma, lam)
             oracle = brute_force_gae(rewards, values, dones, bootstrap[0],
                                      gamma, lam)
@@ -346,12 +346,14 @@ class TestGae:
         buf = ppo.RolloutBuffer(
             obs=np.zeros((8, 1)), actions=np.zeros((8, 1)),
             log_probs=np.zeros(8), rewards=rewards, values=values,
-            dones=np.zeros(8), bootstrap=np.array([0.1, 0.2]), n_envs=2)
+            dones=np.zeros(8), bootstrap=np.array([0.1, 0.2]), n_envs=2,
+            truncation_values=np.zeros(8))
         adv, _ = ppo.compute_gae(buf, 0.95, 0.95)
         solo = ppo.RolloutBuffer(
             obs=np.zeros((4, 1)), actions=np.zeros((4, 1)),
             log_probs=np.zeros(4), rewards=rewards[:4], values=values[:4],
-            dones=np.zeros(4), bootstrap=np.array([0.1]), n_envs=1)
+            dones=np.zeros(4), bootstrap=np.array([0.1]), n_envs=1,
+            truncation_values=np.zeros(4))
         adv0, _ = ppo.compute_gae(solo, 0.95, 0.95)
         np.testing.assert_allclose(adv[:4], adv0, atol=1e-12)
 
@@ -517,12 +519,10 @@ class TestTrainLoop:
         envs = make_envs(2)
         policy, critic = make_nets()
         cfg = ppo.TrainConfig(total_steps=128, rollout_horizon=32, n_envs=2)
-        log_path = tmp_path / "log.csv"
-        log = ppo.train(envs, policy, critic, cfg, np.random.default_rng(0),
-                        log_path=log_path)
+        log = ppo.train(envs, policy, critic, cfg, np.random.default_rng(0), tmp_path)
         assert len(log) == 4
         assert [r.env_steps for r in log] == [32, 64, 96, 128]
-        lines = log_path.read_text().strip().split("\n")
+        lines = (tmp_path / "train_log.csv").read_text().strip().split("\n")
         assert lines[0] == ppo.TRAIN_LOG_HEADER
         assert len(lines) == 5
         assert lines[0].split(",")[-3:] == ["action_clip_fraction", "approx_kl",
@@ -536,9 +536,7 @@ class TestTrainLoop:
         policy = nn.make_mlp([3, 4, 2], rng, output_tanh=True)
         critic = nn.make_mlp([3, 4, 1], rng, output_tanh=False)
         cfg = ppo.TrainConfig(total_steps=20, rollout_horizon=20, n_envs=2)
-        log_path = tmp_path / "log.csv"
-        (row,) = ppo.train(envs, policy, critic, cfg, np.random.default_rng(0),
-                           log_path=log_path)
+        (row,) = ppo.train(envs, policy, critic, cfg, np.random.default_rng(0), tmp_path)
         # Two envs x 10 steps, episodes of 5: four time-limit endings.
         assert (row.n_out_of_bounds, row.n_diverged, row.n_max_steps) == (0, 0, 4)
         # The policy is fixed during the rollout, so its actions are the
@@ -547,7 +545,7 @@ class TestTrainLoop:
                           np.full(3, 0.5))
         actions = mean + np.random.default_rng(0).standard_normal((2, 10, 2))
         assert row.action_clip_fraction == np.mean(np.abs(actions) > 1.0)
-        header, line = log_path.read_text().strip().split("\n")
+        header, line = (tmp_path / "train_log.csv").read_text().strip().split("\n")
         fields = dict(zip(header.split(","), line.split(",")))
         assert list(fields)[:8] == ["update_index", "env_steps", "lr",
                                     "mean_ep_reward", "mean_ep_len",
@@ -557,23 +555,58 @@ class TestTrainLoop:
         assert float(fields["action_clip_fraction"]) == pytest.approx(
             row.action_clip_fraction, rel=1e-9)
 
-    def test_train_deterministic(self):
-        def run():
+    def test_train_deterministic(self, tmp_path):
+        def run(out):
+            out.mkdir()
             envs = make_envs(2, seed=3)
             policy, critic = make_nets(seed=3)
             cfg = ppo.TrainConfig(total_steps=96, rollout_horizon=32, n_envs=2)
-            ppo.train(envs, policy, critic, cfg, np.random.default_rng(7))
+            ppo.train(envs, policy, critic, cfg, np.random.default_rng(7), out)
             return policy
-        a, b = run(), run()
+        a, b = run(tmp_path / "a"), run(tmp_path / "b")
         for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
             assert wa.tobytes() == wb.tobytes()
+        assert ((tmp_path / "a" / "checkpoint_final.bin").read_bytes()
+                == (tmp_path / "b" / "checkpoint_final.bin").read_bytes())
 
-    def test_checkpoint_fn_called(self):
-        envs = make_envs(2)
+    # Five updates of 32 rows; two epochs of two 16-row minibatches each.
+    FIVE_UPDATES = ppo.TrainConfig(total_steps=160, rollout_horizon=32, n_envs=2,
+                                   epochs_per_update=2, minibatch_size=16,
+                                   checkpoint_every=2, seed=5)
+
+    def test_writes_log_and_checkpoints(self, tmp_path):
         policy, critic = make_nets()
-        cfg = ppo.TrainConfig(total_steps=96, rollout_horizon=32, n_envs=2,
-                              checkpoint_every=2)
-        calls = []
-        ppo.train(envs, policy, critic, cfg, np.random.default_rng(0),
-                  checkpoint_fn=lambda u: calls.append(u))
-        assert calls  # fired at least once at the configured cadence
+        log = ppo.train(make_envs(2), policy, critic, self.FIVE_UPDATES,
+                        np.random.default_rng(0), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint_00002.bin", "checkpoint_00004.bin", "checkpoint_final.bin",
+            "train_log.csv"]
+        with open(tmp_path / "train_log.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["env_steps"]) for r in rows] == [r.env_steps for r in log]
+        for name, updates in [("checkpoint_00002.bin", 2), ("checkpoint_00004.bin", 4),
+                              ("checkpoint_final.bin", 5)]:
+            nets, seed, steps = nn.load_checkpoint(tmp_path / name)
+            assert (seed, steps) == (5, int(rows[updates - 1]["env_steps"]))
+            assert nets["actor"][1].step_count == nets["critic"][1].step_count == 4 * updates
+        assert nets["actor"][0].params.tobytes() == policy.params.tobytes()
+        assert nets["critic"][0].params.tobytes() == critic.params.tobytes()
+
+    def test_failure_keeps_finished_rows(self, tmp_path, monkeypatch):
+        updates = []
+
+        def update(*args):
+            if len(updates) == 3:
+                raise KeyboardInterrupt
+            updates.append(real(*args))
+            return updates[-1]
+        real = ppo.ppo_update
+        monkeypatch.setattr(ppo, "ppo_update", update)
+        with pytest.raises(KeyboardInterrupt):
+            ppo.train(make_envs(2), *make_nets(), self.FIVE_UPDATES,
+                      np.random.default_rng(0), tmp_path)
+        lines = (tmp_path / "train_log.csv").read_text().splitlines()
+        assert lines[0] == ppo.TRAIN_LOG_HEADER
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "32"], ["1", "64"],
+                                                                ["2", "96"]]
+        assert sorted(p.name for p in tmp_path.glob("*.bin")) == ["checkpoint_00002.bin"]

@@ -164,7 +164,7 @@ class TestReportFormats:
 
 
 class TestFrozenThroughTraining:
-    def test_frozen_params_bit_identical_after_training(self):
+    def test_frozen_params_bit_identical_after_training(self, tmp_path):
         actor, _ = quad_nets(hidden=(16, 16), seed=4)
         net, _ = transfer.build_tilt_actor(actor, np.random.default_rng(5))
         critic = nn.make_mlp([22, 16, 16, 1], np.random.default_rng(6),
@@ -181,7 +181,7 @@ class TestFrozenThroughTraining:
                 for s in np.random.SeedSequence(7).spawn(2)]
         cfg = ppo.TrainConfig(total_steps=128, rollout_horizon=32, n_envs=2,
                               lr0=1e-3)
-        ppo.train(envs, net, critic, cfg, np.random.default_rng(8))
+        ppo.train(envs, net, critic, cfg, np.random.default_rng(8), tmp_path)
         assert net.weights[0][:, :18].tobytes() == before["w0"].tobytes()
         assert net.biases[0].tobytes() == before["b0"].tobytes()
         assert net.weights[1].tobytes() == before["w1"].tobytes()
