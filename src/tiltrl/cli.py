@@ -32,11 +32,11 @@ from . import neuralnet as nn
 from . import ppo, transfer
 from .config import ConfigError, RunConfig, as_flat_dict, default_config, \
     load_config, write_config
-from .env import HoverEnv, Platform, write_trace
+from .env import TRACE_HEADER, HoverEnv, Platform
 from .evalsuite import (SQUARE_MISSION, SUMMARY_HEADER, actor_platform,
                         run_fault_ablation, run_hover_eval, run_waypoint_mission,
                         summary_rows)
-from .neuralnet import CheckpointError, ShapeMismatchError, atomic_open
+from .neuralnet import CheckpointError, ShapeMismatchError, atomic_open, write_rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,50 +147,39 @@ cmd_train_quad = cmd_train_tilt = cmd_train
 
 
 def _write_transfer_report(out_dir, reports: dict) -> None:
-    with atomic_open(os.path.join(out_dir, "transfer_report.csv")) as fh:
-        fh.write("net,block,category,count\n" + "".join(
-            f"{name},{block},{cat},{n}\n"
-            for name, rows in reports.items() for block, cat, n in rows))
+    write_rows(os.path.join(out_dir, "transfer_report.csv"), "net,block,category,count",
+               (f"{name},{block},{cat},{n}"
+                for name, rows in reports.items() for block, cat, n in rows))
 
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
     if args.controller == "pid":
-        actor = None
+        controller = "pid"
     else:
         if args.checkpoint is None:
             raise ConfigError("a checkpoint is required unless --mode waypoint"
                               " --controller pid")
-        actor = nn.load_checkpoint(args.checkpoint)[0]["actor"][0]
-        actor_platform(actor)   # a shape no platform flies fails before --out exists
+        controller = nn.load_checkpoint(args.checkpoint)[0]["actor"][0]
+        actor_platform(controller)   # a shape no platform flies fails before --out exists
     if args.mode == "ablate":   # ablation rejects a quad actor before --out exists
-        successes, results = run_fault_ablation(actor, args.faulty, args.trials,
-                                                cfg.sim, seed)
+        _, results = run_fault_ablation(controller, args.faulty, args.trials, cfg.sim, seed)
+        label = f"ablation ({args.faulty} faulty)"
     os.makedirs(args.out, exist_ok=True)
 
-    if args.mode == "hover":
-        results = run_hover_eval(actor, cfg.sim, args.trials, seed, trace_dir=args.out)
-        _write_summary(args.out, results)
-        n_ok = sum(r.success for r in results)
-        print(f"hover eval: {n_ok}/{len(results)} successes")
-    elif args.mode == "ablate":
-        _write_summary(args.out, results)
-        print(f"ablation ({args.faulty} faulty): {successes}/{args.trials} successes")
-    else:
-        controller = "pid" if args.controller == "pid" else actor
+    if args.mode == "waypoint":
         res = run_waypoint_mission(controller, SQUARE_MISSION, cfg.sim, gains=cfg.pid)
-        write_trace(os.path.join(args.out, "waypoint_trace.csv"), res.trace)
+        write_rows(os.path.join(args.out, "waypoint_trace.csv"), TRACE_HEADER, res.trace)
         print(f"waypoint mission: visited {sum(res.hits)}/{len(SQUARE_MISSION)}"
               f" -> {'ok' if res.all_visited else 'FAILED'}")
         return 0 if res.all_visited else 2
+    if args.mode == "hover":
+        results = run_hover_eval(controller, cfg.sim, args.trials, seed, trace_dir=args.out)
+        label = "hover eval"
+    write_rows(os.path.join(args.out, "summary.csv"), SUMMARY_HEADER, summary_rows(results))
+    print(f"{label}: {sum(r.success for r in results)}/{len(results)} successes")
     return 0
-
-
-def _write_summary(out_dir, results) -> None:
-    with atomic_open(os.path.join(out_dir, "summary.csv")) as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        fh.write("\n".join(summary_rows(results)) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

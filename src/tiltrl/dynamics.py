@@ -57,6 +57,8 @@ class SimParams:
             raise ValueError("motor_lag_s must be >= dt_s")
         if self.thrust_range_n[0] < 0 or self.thrust_range_n[1] <= self.thrust_range_n[0]:
             raise ValueError("thrust_range_n must satisfy 0 <= min < max")
+        if self.tilt_rate_range_radps[0] >= self.tilt_rate_range_radps[1]:
+            raise ValueError("tilt_rate_range_radps must satisfy min < max")
         lo, hi = self.tilt_angle_range_rad
         if abs(lo + hi) > 1e-12:
             raise ValueError("tilt_angle_range_rad must be symmetric about 0")
@@ -215,14 +217,12 @@ def derivative(y, thrust_cmd, tilt_cmd, p: SimParams) -> list:
 def step_flat(y: np.ndarray, thrust_cmd, tilt_cmd, params: SimParams) -> np.ndarray:
     """One RK4 step on the flat state vector with zero-order-hold commands."""
     dt = params.dt_s
-    yl = y.tolist() if isinstance(y, np.ndarray) else list(y)
-    tc = thrust_cmd.tolist() if isinstance(thrust_cmd, np.ndarray) else thrust_cmd
-    rc = tilt_cmd.tolist() if isinstance(tilt_cmd, np.ndarray) else tilt_cmd
+    yl = y.tolist()
     h = 0.5 * dt
-    k1 = derivative(yl, tc, rc, params)
-    k2 = derivative([a + h * b for a, b in zip(yl, k1)], tc, rc, params)
-    k3 = derivative([a + h * b for a, b in zip(yl, k2)], tc, rc, params)
-    k4 = derivative([a + dt * b for a, b in zip(yl, k3)], tc, rc, params)
+    k1 = derivative(yl, thrust_cmd, tilt_cmd, params)
+    k2 = derivative([a + h * b for a, b in zip(yl, k1)], thrust_cmd, tilt_cmd, params)
+    k3 = derivative([a + h * b for a, b in zip(yl, k2)], thrust_cmd, tilt_cmd, params)
+    k4 = derivative([a + dt * b for a, b in zip(yl, k3)], thrust_cmd, tilt_cmd, params)
     w = dt / 6.0
     out = [a + w * (b + 2.0 * (c + d) + e)
            for a, b, c, d, e in zip(yl, k1, k2, k3, k4)]

@@ -29,7 +29,6 @@ from .dynamics import (
     step_flat,
     NonFiniteError,
 )
-from .neuralnet import atomic_open
 
 
 class Platform(enum.Enum):
@@ -254,10 +253,3 @@ def trace_row(t: int, y: np.ndarray, action: np.ndarray, rew: float) -> str:
     a = np.asarray(action, dtype=float).tolist()
     return _TRACE_ROW % (t, *yl[0:6], *euler_zyx(yl[6:10]), *yl[10:21],
                          *a, *[0.0] * (8 - len(a)), rew)
-
-
-def write_trace(path, rows: list[str]) -> None:
-    with atomic_open(path) as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")

@@ -8,6 +8,7 @@ policies see identical conditions.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import neuralnet as nn
 from .dynamics import NonFiniteError, SimParams, hover_state, quat_to_rot, step_flat
-from .env import (EpisodeConfig, Platform, TermStatus, actuator_command, observation,
-                  reset_state, trace_row, write_trace)
+from .env import (TRACE_HEADER, EpisodeConfig, Platform, TermStatus, actuator_command,
+                  observation, reset_state, trace_row)
 
 HOVER_TARGET = (0.0, 0.0, 3.0)
 SUCCESS_TOLERANCE_M = 0.2
@@ -48,12 +49,11 @@ class TrialResult:
 
 
 def policy_command(actor: nn.Mlp, y: np.ndarray, target,
-                   platform: Platform, params: SimParams) -> tuple[list, list, np.ndarray]:
+                   platform: Platform, params: SimParams) -> tuple[np.ndarray, list, list]:
     """Deterministic actuator command from the policy mean at the flat
-    state y. Returns (thrusts, tilt rates, clamped action)."""
-    a, thrust, rates = actuator_command(
-        nn.forward(actor, observation(y, target, platform)), platform, params)
-    return thrust, rates, a
+    state y, as actuator_command returns it: (clamped action, thrusts, tilt rates)."""
+    return actuator_command(nn.forward(actor, observation(y, target, platform)),
+                            platform, params)
 
 
 def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
@@ -62,7 +62,7 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     """Step the simulator from the flat state y until the target is reached,
     the state leaves the physical-validity envelope or the budget runs out.
 
-    command_fn(y) -> (thrusts, tilt rates, action vector). Returns
+    command_fn(y) -> (action vector, thrusts, tilt rates). Returns
     (flat state, end, steps_to_reach, rows): end is REACHED, MAX_STEPS or
     DIVERGED (past MAX_SPEED_MPS or MAX_BODY_RATE_RADPS after a step, or a
     non-finite RK4 step), and the trace keeps the row of the last step."""
@@ -83,7 +83,7 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     if reached(y):
         return y, TermStatus.REACHED, 0, rows
     for t in range(max_steps):
-        thrust, rates, action = command_fn(y)
+        action, thrust, rates = command_fn(y)
         try:
             y = step_flat(y, thrust, rates, params)
         except NonFiniteError:
@@ -96,14 +96,6 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
         if vx * vx + vy * vy + vz * vz > speed2 or wx * wx + wy * wy + wz * wz > rate2:
             return y, TermStatus.DIVERGED, -1, rows
     return y, TermStatus.MAX_STEPS, -1, rows
-
-
-def _trial_result(trial: int, seed: int, end: TermStatus, steps: int, y: np.ndarray,
-                  target, servo_ids: tuple[int, ...] = ()) -> TrialResult:
-    return TrialResult(
-        trial=trial, seed=seed, end=end, steps_to_reach=steps,
-        final_error_m=float(np.linalg.norm(y[0:3] - np.asarray(target))),
-        final_tilt_rad=tuple(y[13:17]), servo_ids=servo_ids)
 
 
 def actor_platform(actor: nn.Mlp) -> Platform:
@@ -135,18 +127,21 @@ def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
         frng = np.random.default_rng(trial_seed.spawn(1)[0])
 
         def cmd_fn(y):
-            thrust, rates, a = policy_command(actor, y, HOVER_TARGET, platform, params)
+            a, thrust, rates = policy_command(actor, y, HOVER_TARGET, platform, params)
             for s in faulty:
                 if frng.random() >= FAULT_RESPONSE_PROBABILITY:
                     rates[s] = 0.0
-            return thrust, rates, a
+            return a, thrust, rates
 
-        final, end, steps, rows = _run_to_goal(
+        y, end, steps, rows = _run_to_goal(
             cmd_fn, y, HOVER_TARGET, params, record_trace=trace_dir is not None)
         if trace_dir is not None:
-            write_trace(os.path.join(trace_dir, f"hover_trace_{trial:03d}.csv"), rows)
-        results.append(_trial_result(trial, seed, end, steps, final, HOVER_TARGET,
-                                     faulty))
+            nn.write_rows(os.path.join(trace_dir, f"hover_trace_{trial:03d}.csv"),
+                          TRACE_HEADER, rows)
+        results.append(TrialResult(
+            trial=trial, seed=seed, end=end, steps_to_reach=steps,
+            final_error_m=float(np.linalg.norm(y[0:3] - np.asarray(HOVER_TARGET))),
+            final_tilt_rad=tuple(y[13:17]), servo_ids=faulty))
     return results
 
 
@@ -268,7 +263,7 @@ class MissionResult:
 
 
 def run_waypoint_mission(controller, waypoints, params: SimParams,
-                         gains: PidGains | None = None) -> MissionResult:
+                         gains: PidGains = PidGains()) -> MissionResult:
     """Fly the waypoints in order from hover at the first one's altitude
     above the origin; the target switches to the next waypoint on reach,
     within SUCCESS_TOLERANCE_M and MAX_EVAL_STEPS per leg.
@@ -276,21 +271,21 @@ def run_waypoint_mission(controller, waypoints, params: SimParams,
     controller is either "pid" or a trained actor Mlp of either platform.
     Returns per-waypoint hit flags and the full trace."""
     y = hover_state(params, (0.0, 0.0, waypoints[0][2]))
-    platform = None if controller == "pid" else actor_platform(controller)
-    gains = gains if gains is not None else PidGains()
+    if controller == "pid":
+        def command(target, y):
+            return np.zeros(4), *pid_controller(y, target, gains, params)
+    else:
+        platform = actor_platform(controller)
+
+        def command(target, y):
+            return policy_command(controller, y, target, platform, params)
+
     rows: list[str] = []
     hits: list[bool] = []
     for wp in waypoints:
         wp = tuple(map(float, wp))
-
-        if controller == "pid":
-            def cmd_fn(y, _wp=wp):
-                return (*pid_controller(y, _wp, gains, params), np.zeros(4))
-        else:
-            def cmd_fn(y, _wp=wp):
-                return policy_command(controller, y, _wp, platform, params)
-
-        y, end, steps, trace = _run_to_goal(cmd_fn, y, wp, params, record_trace=True)
+        y, end, _, trace = _run_to_goal(functools.partial(command, wp), y, wp, params,
+                                        record_trace=True)
         rows.extend(trace)
         hits.append(end is TermStatus.REACHED)
         if not hits[-1]:

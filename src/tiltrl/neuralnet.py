@@ -50,7 +50,8 @@ class ShapeMismatchError(ValueError):
 
 class CheckpointError(ValueError):
     """A file load_checkpoint cannot read: bad magic, unsupported version,
-    layers that do not chain, or truncated; or a network it does not hold."""
+    layers that do not chain, truncated, or with bytes after its last
+    network; or a network it does not hold."""
 
 
 class _Nets(dict):
@@ -95,9 +96,6 @@ class Mlp:
     @property
     def layer_sizes(self) -> list[int]:
         return [self.in_dim] + [rows for rows, _ in self.shapes]
-
-    def n_params(self) -> int:
-        return self.params.size
 
 
 @dataclass
@@ -304,6 +302,15 @@ def atomic_open(path, mode: str = "w"):
             os.remove(tmp)
 
 
+def write_rows(path, header: str, rows) -> None:
+    """Write a CSV file, atomically (see atomic_open): the header line, then
+    one line per row."""
+    with atomic_open(path) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
 def save_checkpoint(path, nets: dict[str, tuple[Mlp, AdamState | None]],
                     seed: int, train_step: int) -> None:
     """Write networks (+ optional optimizer moments) to a versioned binary
@@ -317,7 +324,8 @@ def save_checkpoint(path, nets: dict[str, tuple[Mlp, AdamState | None]],
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (nets dict, seed, train_step). Raises
-    CheckpointError for a file that is not a whole checkpoint of this version."""
+    CheckpointError for a file that is not exactly one whole checkpoint of
+    this version."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -329,4 +337,6 @@ def load_checkpoint(path):
         for _ in range(n_nets):
             name, net, opt = _unpack_net(fh)
             nets[name] = (net, opt)
+        if fh.read(1):
+            raise CheckpointError(f"checkpoint {fh.name!r} has bytes after its last network")
     return nets, seed, train_step

@@ -47,6 +47,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must be in [0, 1)")
+        if not (0.0 <= self.gae_lambda <= 1.0):
+            raise ValueError("gae_lambda must be in [0, 1]")
+        if self.lr0 < 0:
+            raise ValueError("lr0 must be >= 0")
+        if min(self.hidden_sizes) <= 0:
+            raise ValueError("hidden_sizes entries must be > 0")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be > 0")
         for name in ("total_steps", "epochs_per_update", "minibatch_size", "sigma",

@@ -78,4 +78,4 @@ def build_tilt_critic(quad_critic: Mlp, rng: np.random.Generator) -> tuple[Mlp, 
     net.weights[0][:] = nn.xavier_init(h1, TILT_OBS, rng)
     first = h1 * TILT_OBS + h1
     net.params[first:] = quad_critic.params[h1 * QUAD_OBS + h1:]  # after layer 0
-    return net, np.arange(net.n_params()) >= first
+    return net, np.arange(net.params.size) >= first

@@ -326,6 +326,7 @@ CORRUPTIONS = {
     # A 16 x 2**31 first layer still chains, but needs 288 GiB the file lacks.
     "shape_past_end": lambda d: d[:37] + struct.pack("<I", 2 ** 31) + d[41:],
     "non_ascii_name": lambda d: d[:26] + b"\xff" + d[27:],
+    "trailing_bytes": lambda d: d + b"\0",
 }
 
 
@@ -345,7 +346,11 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corrup
 
 
 @pytest.mark.parametrize("var, raw", [("TILTRL_CHECKPOINT_EVERY", "0"),
-                                      ("TILTRL_SIGMA", "0"), ("TILTRL_DT_S", "nan")])
+                                      ("TILTRL_SIGMA", "0"), ("TILTRL_DT_S", "nan"),
+                                      ("TILTRL_HIDDEN_SIZES", "-1, 64"),
+                                      ("TILTRL_HIDDEN_SIZES", "0, 64"),
+                                      ("TILTRL_GAE_LAMBDA", "-3"), ("TILTRL_LR0", "-1"),
+                                      ("TILTRL_TILT_RATE_RANGE_RADPS", "3, -3")])
 def test_unusable_config_value_is_runtime_error(tmp_path, capsys, var, raw):
     assert run(tmp_path, "train-quad", "--steps", "64", "--out", str(tmp_path / "o"),
                env={var: raw}) == 2

@@ -103,7 +103,9 @@ class TestErrors:
     @pytest.mark.parametrize("line", ["dt_s = nan", "mass_kg = inf",
                                       "inertia_diag = 0.0082, nan, 0.0164",
                                       "checkpoint_every = 0", "sigma = 0.0",
-                                      "sigma = -1.0"])
+                                      "sigma = -1.0", "hidden_sizes = -1, 64",
+                                      "hidden_sizes = 0, 64", "gae_lambda = -3.0",
+                                      "lr0 = -1.0", "tilt_rate_range_radps = 3.0, -3.0"])
     def test_unusable_value_named(self, tmp_path, line):
         assert_line_rejected_by_key(tmp_path, line)
 

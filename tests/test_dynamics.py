@@ -43,6 +43,8 @@ class TestSimParams:
         {"thrust_range_n": (-1.0, 15.0)},
         {"tilt_angle_range_rad": (-0.5, 1.0)},
         {"rotor_spin_signs": (1.0, 1.0, 1.0, -1.0)},
+        {"tilt_rate_range_radps": (3.0, -3.0)},
+        {"tilt_rate_range_radps": (3.0, 3.0)},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

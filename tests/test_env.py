@@ -266,7 +266,8 @@ class TestHoverEnv:
         assert env.episode_return == 0.0 and env.t == 0
 
     def test_trace_schema(self, tmp_path):
-        from tiltrl.env import TRACE_HEADER, trace_row, write_trace
+        from tiltrl.env import TRACE_HEADER, trace_row
+        from tiltrl.neuralnet import write_rows
         env = make_env(Platform.TILT_ROTOR)
         env.reset()
         rows = []
@@ -275,7 +276,7 @@ class TestHoverEnv:
             _, r, _ = env.step(a)
             rows.append(trace_row(t, env.y, a, r))
         path = tmp_path / "trace.csv"
-        write_trace(path, rows)
+        write_rows(path, TRACE_HEADER, rows)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == TRACE_HEADER
         assert len(lines) == 6

@@ -28,7 +28,7 @@ def blowup_actor():
 
 def pid_command(target, p):
     """_run_to_goal command function: the PID baseline, zero action vector."""
-    return lambda y: (*ev.pid_controller(y, target, ev.PidGains(), p), np.zeros(4))
+    return lambda y: (np.zeros(4), *ev.pid_controller(y, target, ev.PidGains(), p))
 
 
 class TestPidController:

@@ -8,13 +8,11 @@ import pytest
 import tiltrl.neuralnet as nn
 from tiltrl import cli
 from tiltrl.config import default_config, write_config
-from tiltrl.env import TermStatus, write_trace
-from tiltrl.evalsuite import TrialResult
 from tiltrl.ppo import TrainConfig
 from tiltrl.neuralnet import (AdamState, Mlp, ShapeMismatchError,
                               adam_step, forward, gaussian_log_prob, gradients,
                               load_checkpoint, make_mlp, save_checkpoint,
-                              xavier_init)
+                              write_rows, xavier_init)
 
 
 def finite_difference_grads(net, x, upstream, h=1e-5):
@@ -226,7 +224,7 @@ class TestFlatEngine:
             assert np.shares_memory(net.weights[i], net.params)
             assert np.shares_memory(net.biases[i], net.params)
             assert np.shares_memory(net.frozen_w[i], net.frozen)
-        assert net.n_params() == 51
+        assert net.params.size == 51
 
         save_checkpoint(tmp_path / "c.bin", {"a": (net, AdamState.for_net(net))}, 0, 0)
         (net2, opt2), = load_checkpoint(tmp_path / "c.bin")[0].values()
@@ -325,8 +323,6 @@ class _DiskFullFile:
 
 
 _NET = make_mlp([3, 4, 2], np.random.default_rng(0))
-_TRIAL = TrialResult(trial=0, seed=7, end=TermStatus.REACHED, steps_to_reach=1,
-                     final_error_m=0.1, final_tilt_rad=(0.0,) * 4)
 
 # name -> write(dir, version): each writes its artifact(s) into dir, with
 # contents that depend on version.
@@ -336,8 +332,7 @@ ARTIFACT_WRITERS = {
     "config": lambda d, v: write_config(dataclasses.replace(
         default_config(), train=TrainConfig(seed=v)), d / "run.cfg"),
     "manifest": lambda d, v: cli.write_manifest(str(d), {"seed": v}),
-    "summary": lambda d, v: cli._write_summary(str(d), [dataclasses.replace(_TRIAL, seed=v)]),
-    "trace": lambda d, v: write_trace(d / "trace.csv", [f"{v},0.5"]),
+    "rows": lambda d, v: write_rows(d / "rows.csv", "a,b", [f"{v},0.5"]),
     "transfer_reports": lambda d, v: cli._write_transfer_report(
         str(d), {"actor": [("W0", "fresh", v)], "critic": [("W0", "fresh", v)]}),
 }

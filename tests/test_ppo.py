@@ -66,6 +66,8 @@ class TestTrainConfig:
         {"gamma": 1.0}, {"gamma": -0.1}, {"clip_eps": 0.0},
         {"total_steps": 0}, {"rollout_horizon": 100, "n_envs": 8},
         {"checkpoint_every": 0}, {"sigma": 0.0}, {"sigma": -1.0},
+        {"hidden_sizes": (-1, 64)}, {"hidden_sizes": (0, 64)},
+        {"gae_lambda": -3.0}, {"gae_lambda": 1.5}, {"lr0": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

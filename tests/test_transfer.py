@@ -28,7 +28,7 @@ def assert_report_invariant(net, rows):
     """A transfer report's rows count every parameter of the net once, its
     transferred_frozen count is the net's frozen count, and each fresh row
     of a bias block covers zero entries of that bias."""
-    assert sum(n for _, _, n in rows) == net.n_params()
+    assert sum(n for _, _, n in rows) == net.params.size
     assert category_counts(rows)["transferred_frozen"] == net.frozen.sum()
     for block, category, n in rows:
         if category == "fresh" and block.startswith("b"):
@@ -55,7 +55,7 @@ class TestBuildTiltActor:
         actor, _ = quad_nets(hidden=(32, 16))
         net, copied = transfer.build_tilt_actor(actor, np.random.default_rng(1))
         counts = category_counts(transfer.provenance(net, copied))
-        assert sum(counts.values()) == net.n_params()
+        assert sum(counts.values()) == net.params.size
         assert counts["transferred_trainable"] == 0
 
     def test_copied_blocks_identical(self):
