@@ -8,6 +8,8 @@ import pytest
 import tiltrl.neuralnet as nn
 from tiltrl import cli
 from tiltrl.config import default_config, write_config
+from tiltrl.env import TRACE_HEADER, TermStatus
+from tiltrl.evalsuite import SUMMARY_HEADER, TrialResult, summary_rows
 from tiltrl.ppo import TrainConfig
 from tiltrl.neuralnet import (AdamState, Mlp, ShapeMismatchError,
                               adam_step, forward, gaussian_log_prob, gradients,
@@ -323,6 +325,8 @@ class _DiskFullFile:
 
 
 _NET = make_mlp([3, 4, 2], np.random.default_rng(0))
+_TRIAL = TrialResult(trial=0, seed=7, end=TermStatus.REACHED, steps_to_reach=1,
+                     final_error_m=0.1, final_tilt_rad=(0.0,) * 4)
 
 # name -> write(dir, version): each writes its artifact(s) into dir, with
 # contents that depend on version.
@@ -332,7 +336,9 @@ ARTIFACT_WRITERS = {
     "config": lambda d, v: write_config(dataclasses.replace(
         default_config(), train=TrainConfig(seed=v)), d / "run.cfg"),
     "manifest": lambda d, v: cli.write_manifest(str(d), {"seed": v}),
-    "rows": lambda d, v: write_rows(d / "rows.csv", "a,b", [f"{v},0.5"]),
+    "summary": lambda d, v: write_rows(d / "summary.csv", SUMMARY_HEADER,
+                                       summary_rows([dataclasses.replace(_TRIAL, seed=v)])),
+    "trace": lambda d, v: write_rows(d / "trace.csv", TRACE_HEADER, [f"{v},0.5"]),
     "transfer_reports": lambda d, v: cli._write_transfer_report(
         str(d), {"actor": [("W0", "fresh", v)], "critic": [("W0", "fresh", v)]}),
 }
