@@ -125,13 +125,8 @@ def as_flat_dict(cfg: RunConfig) -> dict:
 
 
 def format_config(cfg: RunConfig) -> str:
-    lines = []
-    for key, value in as_flat_dict(cfg).items():
-        if isinstance(value, tuple):
-            lines.append(f"{key} = {', '.join(repr(v) for v in value)}")
-        else:
-            lines.append(f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {', '.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
+                   for key, v in as_flat_dict(cfg).items())
 
 
 def write_config(cfg: RunConfig, path) -> None:

@@ -60,8 +60,8 @@ class SimParams:
         if self.tilt_rate_range_radps[0] >= self.tilt_rate_range_radps[1]:
             raise ValueError("tilt_rate_range_radps must satisfy min < max")
         lo, hi = self.tilt_angle_range_rad
-        if abs(lo + hi) > 1e-12:
-            raise ValueError("tilt_angle_range_rad must be symmetric about 0")
+        if lo > hi or abs(lo + hi) > 1e-12:
+            raise ValueError("tilt_angle_range_rad must satisfy min <= max, symmetric about 0")
         if abs(sum(self.rotor_spin_signs)) > 1e-12:
             raise ValueError("rotor_spin_signs must sum to 0")
 

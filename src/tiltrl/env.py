@@ -16,19 +16,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import (
-    SimParams,
-    _euler_from_rot,
-    euler_zyx,
-    quat_from_euler_zyx,
-    rot_entries,
-    step_flat,
-    NonFiniteError,
-)
+from .dynamics import (NonFiniteError, SimParams, _euler_from_rot, euler_zyx,
+                       quat_from_euler_zyx, rot_entries, step_flat)
 
 
 class Platform(enum.Enum):
@@ -82,10 +75,9 @@ class RewardWeights:
     alpha_tilt: float = 0.5
 
     def __post_init__(self):
-        for name in ("beta", "alpha_a", "alpha_p", "alpha_v", "alpha_omega",
-                     "alpha_roll", "alpha_pitch", "alpha_tilt"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
 
 def actuator_command(action: np.ndarray, platform: Platform,

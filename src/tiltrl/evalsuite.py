@@ -114,12 +114,12 @@ def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
     Trial k's SeedSequence([seed, k]) drives the faulty-servo choice, then
     the initial state; a stream spawned from it drives the servo responses,
     so two policies evaluated with the same seed see identical conditions
-    and draws. Choosing zero servos draws nothing: hover is the zero-fault
-    case."""
+    and draws, whichever process of neuralnet.fork_map runs the trial.
+    Choosing zero servos draws nothing: hover is the zero-fault case."""
     platform = actor_platform(actor)
     cfg = EpisodeConfig(target_position_m=HOVER_TARGET)
-    results = []
-    for trial in range(n_trials):
+
+    def run_trial(trial):
         trial_seed = np.random.SeedSequence([seed, trial])
         init_rng = np.random.default_rng(trial_seed)
         faulty = tuple(int(s) for s in init_rng.choice(4, size=n_faulty, replace=False))
@@ -138,11 +138,12 @@ def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
         if trace_dir is not None:
             nn.write_rows(os.path.join(trace_dir, f"hover_trace_{trial:03d}.csv"),
                           TRACE_HEADER, rows)
-        results.append(TrialResult(
+        return TrialResult(
             trial=trial, seed=seed, end=end, steps_to_reach=steps,
             final_error_m=float(np.linalg.norm(y[0:3] - np.asarray(HOVER_TARGET))),
-            final_tilt_rad=tuple(y[13:17]), servo_ids=faulty))
-    return results
+            final_tilt_rad=tuple(y[13:17]), servo_ids=faulty)
+
+    return nn.fork_map(run_trial, n_trials)
 
 
 def run_hover_eval(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
@@ -298,9 +299,6 @@ SUMMARY_HEADER = "trial,seed,n_faulty,servo_ids,success,steps_to_reach,final_err
 
 
 def summary_rows(results: list[TrialResult]) -> list[str]:
-    rows = []
-    for r in results:
-        ids = ";".join(str(s) for s in r.servo_ids)
-        rows.append(f"{r.trial},{r.seed},{len(r.servo_ids)},{ids},{int(r.success)},"
-                    f"{r.steps_to_reach},{r.final_error_m:.6g},{r.end.value}")
-    return rows
+    return [f"{r.trial},{r.seed},{len(r.servo_ids)},{';'.join(map(str, r.servo_ids))},"
+            f"{int(r.success)},{r.steps_to_reach},{r.final_error_m:.6g},{r.end.value}"
+            for r in results]

@@ -11,10 +11,7 @@ all steps of env 0, then env 1, and so on.
 from __future__ import annotations
 
 import math
-import mmap
 import os
-import signal
-import traceback
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -237,45 +234,30 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
 
     Advantages (compute_gae) are normalized once per update; the learning
     rate follows the linear schedule lr0 * (1 - progress). Frozen parameters
-    stay untouched. Actor and critic share no parameters, so a forked child
-    (POSIX) takes the critic's steps while this process takes the policy's,
-    and hands the critic back bit for bit through shared memory.
+    stay untouched. Actor and critic share no parameters, so
+    neuralnet.fork_map takes the policy's steps in this process and the
+    critic's in a forked child, which hands the critic back bit for bit.
     """
     adv, returns = compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     lr = cfg.lr0 * (1.0 - progress)
     perms = [rng.permutation(len(buffer)) for _ in range(cfg.epochs_per_update)]
-    n = critic.params.size
-    # Adam step count, number of value losses, params, m, v, value losses.
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (2 + 3 * n + len(buffer) * len(perms))))
-    if (pid := os.fork()) == 0:
-        try:
-            val = _value_steps(critic, critic_opt, buffer, returns, perms, cfg, lr)
-            shared[:2 + 3 * n + len(val)] = np.r_[critic_opt.step_count, len(val),
-                                                  critic.params, critic_opt.m, critic_opt.v, val]
-            os._exit(0)
-        except BaseException:
-            traceback.print_exc()
-        finally:
-            os._exit(1)
-    try:
-        pol_losses, ratios, kls = zip(*_policy_steps(policy, policy_opt, buffer, adv,
-                                                     perms, cfg, lr))
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    if status != 0:
-        raise RuntimeError(f"the critic's update process ended with status {status}")
-    val_losses = shared[2 + 3 * n:2 + 3 * n + int(shared[1])].tolist()
+
+    def side(i):
+        if i == 0:
+            return _policy_steps(policy, policy_opt, buffer, adv, perms, cfg, lr)
+        val = _value_steps(critic, critic_opt, buffer, returns, perms, cfg, lr)
+        return val, critic.params, critic_opt.m, critic_opt.v, critic_opt.step_count
+
+    pol_steps, (val_losses, params, m, v, step_count) = nn.fork_map(side, 2)
+    pol_losses, ratios, kls = zip(*pol_steps)
     k = min(len(pol_losses), len(val_losses)) - 1   # each side stops at its first non-finite loss
     if not (math.isfinite(pol_losses[k]) and math.isfinite(val_losses[k])):
         raise NonFiniteLossError(
             f"non-finite loss: policy={pol_losses[k]} value={val_losses[k]} "
             f"ratio range=({ratios[k].min()}, {ratios[k].max()})")
-    critic.params[:], critic_opt.m[:], critic_opt.v[:] = np.split(shared[2:2 + 3 * n], 3)
-    critic_opt.step_count = int(shared[0])
+    critic.params[:], critic_opt.m[:], critic_opt.v[:] = params, m, v
+    critic_opt.step_count = step_count
     var_ret = np.var(returns)
     return {
         "policy_loss": float(np.mean(pol_losses)),

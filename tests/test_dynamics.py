@@ -45,6 +45,7 @@ class TestSimParams:
         {"rotor_spin_signs": (1.0, 1.0, 1.0, -1.0)},
         {"tilt_rate_range_radps": (3.0, -3.0)},
         {"tilt_rate_range_radps": (3.0, 3.0)},
+        {"tilt_angle_range_rad": (0.5, -0.5)},   # symmetric but inverted
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

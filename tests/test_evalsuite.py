@@ -301,6 +301,26 @@ class TestFaultAblation:
         assert succ == sum(r.success for r in results)
 
 
+class TestTrialIndependence:
+    def test_a_trial_does_not_depend_on_the_process_that_ran_it(self, tmp_path, monkeypatch):
+        # fork_map hands trials 2.. to whichever process is free first, so
+        # a trial's process depends on the trial count and on timing.
+        p = SimParams()
+        actor = nn.make_mlp([22, 16, 8], np.random.default_rng(4), output_tanh=True)
+
+        def first_three(n, tag):
+            (tmp_path / tag).mkdir()
+            _, ablation = ev.run_fault_ablation(actor, 2, n, p, seed=12)
+            hover = ev.run_hover_eval(actor, p, n, seed=12, trace_dir=str(tmp_path / tag))
+            traces = [(tmp_path / tag / f"hover_trace_{k:03d}.csv").read_bytes()
+                      for k in range(3)]
+            return ablation[:3], hover[:3], traces
+
+        five, three = first_three(5, "five"), first_three(3, "three")
+        monkeypatch.setattr(nn, "fork_map", lambda fn, n: [fn(i) for i in range(n)])
+        assert five == three == first_three(3, "in_process")
+
+
 class TestWaypointMission:
     def test_default_square(self):
         m = ev.SQUARE_MISSION

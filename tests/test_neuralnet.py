@@ -1,6 +1,9 @@
 import builtins
 import dataclasses
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -402,3 +405,51 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_results_in_index_order_bit_for_bit(self, n):
+        # Index 0 runs in this process and, from n = 2, index 1 in the child.
+        parent = os.getpid()
+        results = nn.fork_map(lambda i: (i, os.getpid(), np.arange(3) / (i + 3)), n)
+        assert [i for i, _, _ in results] == list(range(n))
+        assert [r.tobytes() for _, _, r in results] == [(np.arange(3) / (i + 3)).tobytes()
+                                                         for i in range(n)]
+        assert [pid == parent for _, pid, _ in results[:2]] == [True, False][:n]
+
+    def test_child_exception_reaches_the_caller(self):
+        def fn(i):
+            if i == 1:
+                raise IsADirectoryError(21, "Is a directory", "trace.csv")
+            return i
+
+        with pytest.raises(IsADirectoryError, match=r"^\[Errno 21\] Is a directory: 'trace.csv'$"):
+            nn.fork_map(fn, 3)
+
+    def test_child_oserror_keeps_the_eval_exit_code(self, tmp_path, capsys):
+        # Trial 1 runs in the child, whose trace cannot replace a directory.
+        ckpt = tmp_path / "actor.bin"
+        save_checkpoint(ckpt, {"actor": (make_mlp([22, 8, 8], np.random.default_rng(0)), None)},
+                        seed=0, train_step=0)
+        (tmp_path / "out" / "hover_trace_001.csv").mkdir(parents=True)
+        assert cli.main(["eval", str(ckpt), "--mode", "hover", "--trials", "2",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "io error: [Errno 21]" in capsys.readouterr().err
+
+    def test_killed_child_is_an_error_naming_its_status(self):
+        with pytest.raises(RuntimeError, match=f"status {-signal.SIGKILL}$"):
+            nn.fork_map(lambda i: os.kill(os.getpid(), signal.SIGKILL) if i == 1 else i, 2)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+    def test_exception_here_kills_and_reaps_the_child(self, error):
+        # The autouse fixture in conftest.py checks that no child is left.
+        def fn(i):
+            if i == 0:
+                raise error("parent side")
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(error, match="parent side"):
+            nn.fork_map(fn, 2)
+        assert time.monotonic() - start < 30
