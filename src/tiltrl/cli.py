@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.mode == "waypoint":
-        res = run_waypoint_mission(controller, SQUARE_MISSION, cfg.sim, gains=cfg.pid)
+        res = run_waypoint_mission(controller, SQUARE_MISSION, cfg.sim)
         write_rows(os.path.join(args.out, "waypoint_trace.csv"), TRACE_HEADER, res.trace)
         print(f"waypoint mission: visited {sum(res.hits)}/{len(SQUARE_MISSION)}"
               f" -> {'ok' if res.all_visited else 'FAILED'}")

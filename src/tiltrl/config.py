@@ -1,8 +1,8 @@
-"""Flat key=value configuration covering physics, episodes, rewards,
-training, and PID gains.
+"""Flat key=value configuration covering physics, episodes, rewards and
+training.
 
 File format: one `key = value` per line, `#` comments, vectors as
-comma-separated numbers. The keys are the fields of the five section
+comma-separated numbers. The keys are the fields of the four section
 dataclasses (SI units); each value takes its default's type, a vector as
 many numbers as its default has, and every number must be finite. A config
 file must contain every key; any TILTRL_<KEY> environment variable
@@ -17,7 +17,6 @@ import os
 
 from .dynamics import SimParams
 from .env import EpisodeConfig, RewardWeights
-from .evalsuite import PidGains
 from .neuralnet import atomic_open
 from .ppo import TrainConfig
 
@@ -34,11 +33,10 @@ class RunConfig:
     episode: EpisodeConfig
     rewards: RewardWeights
     train: TrainConfig
-    pid: PidGains
 
 
 _SECTIONS = {"sim": SimParams, "episode": EpisodeConfig, "rewards": RewardWeights,
-             "train": TrainConfig, "pid": PidGains}
+             "train": TrainConfig}
 
 # key -> (section, default): one key per dataclass field, in field order. The
 # default fixes the key's kind (int, float or tuple) and a tuple's length.
@@ -48,8 +46,7 @@ SCHEMA = {f.name: (section, f.default)
 
 def default_config() -> RunConfig:
     """All defaults: the reported physical parameters and hyperparameters."""
-    return RunConfig(SimParams(), EpisodeConfig(), RewardWeights(),
-                     TrainConfig(), PidGains())
+    return RunConfig(SimParams(), EpisodeConfig(), RewardWeights(), TrainConfig())
 
 
 def _parse_value(key: str, raw: str):

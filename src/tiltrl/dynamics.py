@@ -57,8 +57,9 @@ class SimParams:
             raise ValueError("motor_lag_s must be >= dt_s")
         if self.thrust_range_n[0] < 0 or self.thrust_range_n[1] <= self.thrust_range_n[0]:
             raise ValueError("thrust_range_n must satisfy 0 <= min < max")
-        if self.tilt_rate_range_radps[0] >= self.tilt_rate_range_radps[1]:
-            raise ValueError("tilt_rate_range_radps must satisfy min < max")
+        lo, hi = self.tilt_rate_range_radps
+        if lo >= hi or abs(lo + hi) > 1e-12:
+            raise ValueError("tilt_rate_range_radps must satisfy min < max, symmetric about 0")
         lo, hi = self.tilt_angle_range_rad
         if lo > hi or abs(lo + hi) > 1e-12:
             raise ValueError("tilt_angle_range_rad must satisfy min <= max, symmetric about 0")

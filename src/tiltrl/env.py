@@ -188,19 +188,20 @@ class HoverEnv:
     """Gym-style wrapper: reset() -> obs, step(action) -> (obs, reward, status).
 
     Each instance owns its RNG and its flat state `y` (layout in `dynamics`,
-    None before the first reset); instances are independent. `t` counts the
-    steps of the current episode and `episode_return` sums their rewards.
+    None before the first reset); instances are independent but for
+    `counter`, which a pool shares so that the SO(3) warm-up counts the
+    pool's episodes. `t` counts the steps of the current episode and
+    `episode_return` sums their rewards.
     """
 
     def __init__(self, platform: Platform, params: SimParams, cfg: EpisodeConfig,
-                 weights: RewardWeights, rng: np.random.Generator,
-                 counter: itertools.count | None = None):
+                 weights: RewardWeights, rng: np.random.Generator, counter: itertools.count):
         self.platform = platform
         self.params = params
         self.cfg = cfg
         self.weights = weights
         self.rng = rng
-        self.counter = counter if counter is not None else itertools.count()
+        self.counter = counter
         self.y: np.ndarray | None = None
         self.t = 0
         self.episode_return = 0.0

@@ -29,6 +29,18 @@ MAX_BODY_RATE_RADPS = 100.0
 MAX_EVAL_STEPS = 1500
 # Per step, a faulty tilt servo obeys its commanded rate with this probability.
 FAULT_RESPONSE_PROBABILITY = 0.4
+# Gains of the cascaded PID baseline, from a manual tuning run. Yaw uses its
+# own soft gains: the drag-moment ratio is small, so yaw torque costs a large
+# differential thrust and must not be allowed to drown out roll/pitch
+# authority in the mixer.
+KP_POS = 2.0
+KD_POS = 2.8
+KP_ATT = 100.0
+KD_ATT = 20.0
+KP_YAW = 5.0
+KD_YAW = 2.0
+K_TILT = 4.0
+MAX_TILT_ACCEL_MPS2 = 5.0   # cap on the horizontal acceleration demand
 # Square circuit of side 2 m at 3 m altitude.
 SQUARE_MISSION = ((1.0, 1.0, 3.0), (-1.0, 1.0, 3.0), (-1.0, -1.0, 3.0), (1.0, -1.0, 3.0))
 
@@ -57,10 +69,10 @@ def policy_command(actor: nn.Mlp, y: np.ndarray, target,
 
 
 def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
-                 max_steps: int = MAX_EVAL_STEPS, tolerance: float = SUCCESS_TOLERANCE_M,
                  record_trace: bool = False):
-    """Step the simulator from the flat state y until the target is reached,
-    the state leaves the physical-validity envelope or the budget runs out.
+    """Step the simulator from the flat state y until the target is within
+    SUCCESS_TOLERANCE_M, the state leaves the physical-validity envelope or
+    MAX_EVAL_STEPS run out.
 
     command_fn(y) -> (action vector, thrusts, tilt rates). Returns
     (flat state, end, steps_to_reach, rows): end is REACHED, MAX_STEPS or
@@ -70,19 +82,19 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     tx, ty, tz = target.tolist()
     # A squared distance beyond this band has no norm within the tolerance,
     # so np.linalg.norm, which decides, runs only inside it.
-    band = (tolerance * (1 + 1e-9)) ** 2
+    band = (SUCCESS_TOLERANCE_M * (1 + 1e-9)) ** 2
     speed2 = MAX_SPEED_MPS * MAX_SPEED_MPS
     rate2 = MAX_BODY_RATE_RADPS * MAX_BODY_RATE_RADPS
 
     def reached(y):
         px, py, pz = y[0:3].tolist()
         d2 = (px - tx) * (px - tx) + (py - ty) * (py - ty) + (pz - tz) * (pz - tz)
-        return d2 <= band and np.linalg.norm(y[0:3] - target) <= tolerance
+        return d2 <= band and np.linalg.norm(y[0:3] - target) <= SUCCESS_TOLERANCE_M
 
     rows: list[str] = []
     if reached(y):
         return y, TermStatus.REACHED, 0, rows
-    for t in range(max_steps):
+    for t in range(MAX_EVAL_STEPS):
         action, thrust, rates = command_fn(y)
         try:
             y = step_flat(y, thrust, rates, params)
@@ -170,26 +182,7 @@ def run_fault_ablation(actor: nn.Mlp, n_faulty: int, trials: int,
 
 # --- PID baseline -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PidGains:
-    """Cascaded controller gains; defaults from a manual tuning run.
-
-    Yaw uses its own soft gains: the drag-moment ratio is small, so yaw
-    torque costs a large differential thrust and must not be allowed to
-    drown out roll/pitch authority in the mixer."""
-
-    kp_pos: float = 2.0
-    kd_pos: float = 2.8
-    kp_att: float = 100.0
-    kd_att: float = 20.0
-    kp_yaw: float = 5.0
-    kd_yaw: float = 2.0
-    k_tilt: float = 4.0
-    max_tilt_accel: float = 5.0   # m/s^2 cap on horizontal acceleration demand
-
-
-def pid_controller(y: np.ndarray, target, gains: PidGains,
-                   params: SimParams) -> tuple[list, list]:
+def pid_controller(y: np.ndarray, target, params: SimParams) -> tuple[list, list]:
     """Cascaded PID on the flat state y: position error -> desired
     acceleration -> desired attitude + collective thrust; attitude PD ->
     torques -> plus-config mixing; tilt rates regulate tilt angles to zero.
@@ -201,12 +194,12 @@ def pid_controller(y: np.ndarray, target, gains: PidGains,
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y[0:13].tolist()
     x_t, y_t, z_t = np.asarray(target, dtype=float).tolist()
 
-    ax = gains.kp_pos * (x_t - px) - gains.kd_pos * vx
-    ay = gains.kp_pos * (y_t - py) - gains.kd_pos * vy
-    az = gains.kp_pos * (z_t - pz) - gains.kd_pos * vz
+    ax = KP_POS * (x_t - px) - KD_POS * vx
+    ay = KP_POS * (y_t - py) - KD_POS * vy
+    az = KP_POS * (z_t - pz) - KD_POS * vz
     a_norm = np.linalg.norm(np.array([ax, ay]))
-    if a_norm > gains.max_tilt_accel:
-        s = gains.max_tilt_accel / a_norm
+    if a_norm > MAX_TILT_ACCEL_MPS2:
+        s = MAX_TILT_ACCEL_MPS2 / a_norm
         ax *= s
         ay *= s
     az += g
@@ -232,9 +225,9 @@ def pid_controller(y: np.ndarray, target, gains: PidGains,
     ey = 0.5 * (e_p[0][2] - e_m[0][2])
     ez = 0.5 * (e_p[1][0] - e_m[1][0])
     ix, iy, iz = params.inertia_diag
-    tx = ix * (-gains.kp_att * ex - gains.kd_att * wx)
-    ty = iy * (-gains.kp_att * ey - gains.kd_att * wy)
-    tz = iz * (-gains.kp_yaw * ez - gains.kd_yaw * wz)
+    tx = ix * (-KP_ATT * ex - KD_ATT * wx)
+    ty = iy * (-KP_ATT * ey - KD_ATT * wy)
+    tz = iz * (-KP_YAW * ez - KD_YAW * wz)
 
     collective = m * float(a_des @ r[:, 2])
     collective = max(collective, 0.0)
@@ -251,7 +244,7 @@ def pid_controller(y: np.ndarray, target, gains: PidGains,
     flo, fhi = params.thrust_range_n
     thrust = [flo if f < flo else fhi if f > fhi else f for f in (f1, f2, f3, f4)]
     rlo, rhi = params.tilt_rate_range_radps
-    rates = [-gains.k_tilt * t for t in y[13:17].tolist()]
+    rates = [-K_TILT * t for t in y[13:17].tolist()]
     rates = [rlo if v < rlo else rhi if v > rhi else v for v in rates]
     return thrust, rates
 
@@ -263,8 +256,7 @@ class MissionResult:
     trace: list[str]
 
 
-def run_waypoint_mission(controller, waypoints, params: SimParams,
-                         gains: PidGains = PidGains()) -> MissionResult:
+def run_waypoint_mission(controller, waypoints, params: SimParams) -> MissionResult:
     """Fly the waypoints in order from hover at the first one's altitude
     above the origin; the target switches to the next waypoint on reach,
     within SUCCESS_TOLERANCE_M and MAX_EVAL_STEPS per leg.
@@ -274,7 +266,7 @@ def run_waypoint_mission(controller, waypoints, params: SimParams,
     y = hover_state(params, (0.0, 0.0, waypoints[0][2]))
     if controller == "pid":
         def command(target, y):
-            return np.zeros(4), *pid_controller(y, target, gains, params)
+            return np.zeros(4), *pid_controller(y, target, params)
     else:
         platform = actor_platform(controller)
 

@@ -9,11 +9,9 @@ when its manifest.json equals, with "completed": true, the one its command
 line would write now (`cli.stage_manifest`: sources, versions, resolved config
 with TILTRL_* overrides, the transfer source's bytes); any other run directory
 is deleted and retrained. Stale stages train in child processes, up to one per
-seed at a time, and the fault-ablation cells run as child `tiltrl eval`
-processes side by side. Delete the cache directory to force a full retrain.
+seed at a time. Delete the cache directory to force a full retrain.
 """
 
-import csv
 import dataclasses
 import glob
 import itertools
@@ -35,7 +33,7 @@ from tiltrl.dynamics import (SimParams, derivative, hover_state, quat_to_rot,
                              step_flat)
 from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
                         RewardWeights, TermStatus)
-from tiltrl.evalsuite import (SQUARE_MISSION, PidGains, run_hover_eval,
+from tiltrl.evalsuite import (SQUARE_MISSION, run_fault_ablation, run_hover_eval,
                               run_waypoint_mission)
 
 pytestmark = pytest.mark.acceptance
@@ -504,22 +502,10 @@ class TestDevelopmentalAdvantage:
 # --- 7. fault-tolerance ordering ---------------------------------------------
 
 class TestFaultTolerance:
-    def test_ablation_ordering(self, artifacts, tmp_path):
-        # The eight cells run side by side as child `tiltrl eval` processes.
-        cells = [(kind, n_faulty) for kind in ("dev", "conv") for n_faulty in (1, 2, 3, 4)]
-
-        def successes(cell):
-            kind, n_faulty = cell
-            out = str(tmp_path / f"{kind}_{n_faulty}")
-            rc = _cli(["eval", _final(kind, SEEDS[0]), "--mode", "ablate",
-                       "--faulty", str(n_faulty), "--trials", "100", "--seed", "77",
-                       "--out", out])
-            assert rc == 0, f"ablation command failed: {cell}"
-            with open(os.path.join(out, "summary.csv")) as fh:
-                return sum(row["success"] == "1" for row in csv.DictReader(fh))
-
-        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-            counts = list(pool.map(successes, cells))
+    def test_ablation_ordering(self, artifacts):
+        counts = [run_fault_ablation(_actor(_final(kind, SEEDS[0])), n_faulty, 100, PARAMS,
+                                     seed=77)[0]
+                  for kind in ("dev", "conv") for n_faulty in (1, 2, 3, 4)]
         dev_counts, conv_counts = counts[:4], counts[4:]
         order_ok = all(dev_counts[i] >= conv_counts[i] for i in range(3))
         mono_ok = all(xs[i + 1] <= xs[i] + 5 for xs in (dev_counts, conv_counts)
@@ -584,8 +570,8 @@ class TestTransferInvariants:
 class TestWaypointMission:
     def test_policy_and_pid_fly_square(self, artifacts):
         mission = SQUARE_MISSION
-        pid_a = run_waypoint_mission("pid", mission, PARAMS, gains=PidGains())
-        pid_b = run_waypoint_mission("pid", mission, PARAMS, gains=PidGains())
+        pid_a = run_waypoint_mission("pid", mission, PARAMS)
+        pid_b = run_waypoint_mission("pid", mission, PARAMS)
         pid_ok = pid_a.all_visited
         repro_ok = pid_a.trace == pid_b.trace
 

@@ -350,7 +350,8 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corrup
                                       ("TILTRL_HIDDEN_SIZES", "-1, 64"),
                                       ("TILTRL_HIDDEN_SIZES", "0, 64"),
                                       ("TILTRL_GAE_LAMBDA", "-3"), ("TILTRL_LR0", "-1"),
-                                      ("TILTRL_TILT_RATE_RANGE_RADPS", "3, -3")])
+                                      ("TILTRL_TILT_RATE_RANGE_RADPS", "3, -3"),
+                                      ("TILTRL_TILT_RATE_RANGE_RADPS", "0, 6")])
 def test_unusable_config_value_is_runtime_error(tmp_path, capsys, var, raw):
     assert run(tmp_path, "train-quad", "--steps", "64", "--out", str(tmp_path / "o"),
                env={var: raw}) == 2

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +24,7 @@ class TestDefaults:
         # Every dataclass field of every section is a line of the config
         # file, in field order.
         cfg = default_config()
-        fields = [f.name for name in ("sim", "episode", "rewards", "train", "pid")
+        fields = [f.name for name in ("sim", "episode", "rewards", "train")
                   for f in dataclasses.fields(getattr(cfg, name))]
         keys = [line.split(" = ")[0] for line in format_config(cfg).splitlines()]
         assert keys == fields
@@ -80,10 +83,11 @@ class TestErrors:
         with pytest.raises(ConfigError, match="mass_kg"):
             load_config(str(path))
 
-    def test_unknown_key_named(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus_key", "kp_pos"])
+    def test_unknown_key_named(self, tmp_path, key):
         path = tmp_path / "run.cfg"
-        path.write_text(format_config(default_config()) + "bogus_key = 1\n")
-        with pytest.raises(ConfigError, match="bogus_key"):
+        path.write_text(format_config(default_config()) + f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_config(str(path))
 
     def test_bad_value_named(self, tmp_path):
@@ -105,7 +109,8 @@ class TestErrors:
                                       "checkpoint_every = 0", "sigma = 0.0",
                                       "sigma = -1.0", "hidden_sizes = -1, 64",
                                       "hidden_sizes = 0, 64", "gae_lambda = -3.0",
-                                      "lr0 = -1.0", "tilt_rate_range_radps = 3.0, -3.0"])
+                                      "lr0 = -1.0", "tilt_rate_range_radps = 3.0, -3.0",
+                                      "tilt_rate_range_radps = 0.0, 6.0"])
     def test_unusable_value_named(self, tmp_path, line):
         assert_line_rejected_by_key(tmp_path, line)
 
@@ -149,3 +154,13 @@ class TestEnvOverride:
 
 def test_as_flat_dict_keys_match_schema():
     assert set(as_flat_dict(default_config())) == set(cfgmod.SCHEMA)
+
+
+def test_config_does_not_import_the_evaluation():
+    # A fresh interpreter, so no other test's imports are in sys.modules.
+    code = "import sys, tiltrl.config; print('tiltrl.evalsuite' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfgmod.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

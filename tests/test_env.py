@@ -19,7 +19,8 @@ CFG = EpisodeConfig()
 
 
 def make_env(platform=Platform.QUAD, seed=0, cfg=CFG):
-    return HoverEnv(platform, PARAMS, cfg, WEIGHTS, np.random.default_rng(seed))
+    return HoverEnv(platform, PARAMS, cfg, WEIGHTS, np.random.default_rng(seed),
+                    itertools.count())
 
 
 class TestObserve:

@@ -28,21 +28,21 @@ def blowup_actor():
 
 def pid_command(target, p):
     """_run_to_goal command function: the PID baseline, zero action vector."""
-    return lambda y: (np.zeros(4), *ev.pid_controller(y, target, ev.PidGains(), p))
+    return lambda y: (np.zeros(4), *ev.pid_controller(y, target, p))
 
 
 class TestPidController:
     def test_hover_equilibrium(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        thrust, rates = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
+        thrust, rates = ev.pid_controller(st, (0.0, 0.0, 3.0), p)
         np.testing.assert_allclose(thrust, p.hover_thrust_n, atol=1e-12)
         np.testing.assert_allclose(rates, 0.0, atol=1e-12)
 
     def test_below_target_commands_more_thrust(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 2.0))
-        thrust, _ = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
+        thrust, _ = ev.pid_controller(st, (0.0, 0.0, 3.0), p)
         assert all(f > p.hover_thrust_n for f in thrust)
         # Symmetric demand: all four rotors equal.
         np.testing.assert_allclose(thrust, thrust[0])
@@ -51,7 +51,7 @@ class TestPidController:
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
         st[13:17] = [0.2, -0.1, 0.0, 0.3]
-        _, rates = ev.pid_controller(st, (0.0, 0.0, 3.0), ev.PidGains(), p)
+        _, rates = ev.pid_controller(st, (0.0, 0.0, 3.0), p)
         assert rates[0] < 0
         assert rates[1] > 0
         assert rates[2] == 0
@@ -61,16 +61,17 @@ class TestPidController:
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 0.0))
         st[3:6] = [0.0, 0.0, -20.0]
-        thrust, _ = ev.pid_controller(st, (0.0, 0.0, 50.0), ev.PidGains(), p)
+        thrust, _ = ev.pid_controller(st, (0.0, 0.0, 50.0), p)
         lo, hi = p.thrust_range_n
         assert all(lo <= f <= hi for f in thrust)
 
-    def test_x_step_response_settles(self):
+    def test_x_step_response_settles(self, monkeypatch):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
+        monkeypatch.setattr(ev, "MAX_EVAL_STEPS", 1500)
+        monkeypatch.setattr(ev, "SUCCESS_TOLERANCE_M", 0.1)
         _, end, steps, _ = ev._run_to_goal(
-            pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p,
-            max_steps=1500, tolerance=0.1)
+            pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p)
         assert end is TermStatus.REACHED and 0 < steps < 1500
 
     def test_attitude_recovery_from_roll(self):
@@ -99,19 +100,21 @@ class TestRunToGoal:
         assert end is TermStatus.REACHED
         assert len(rows) == steps
 
-    def test_budget_exhaustion_fails(self):
+    def test_budget_exhaustion_fails(self, monkeypatch):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
+        monkeypatch.setattr(ev, "MAX_EVAL_STEPS", 50)
         _, end, steps, _ = ev._run_to_goal(
-            pid_command((100.0, 0.0, 3.0), p), st, (100.0, 0.0, 3.0), p, max_steps=50)
+            pid_command((100.0, 0.0, 3.0), p), st, (100.0, 0.0, 3.0), p)
         assert end is TermStatus.MAX_STEPS and steps == -1
 
-    def test_reach_decision_at_the_tolerance_is_the_norms(self):
+    def test_reach_decision_at_the_tolerance_is_the_norms(self, monkeypatch):
         # Points on the 0.2 m sphere and one ulp of radius inside and
         # outside it. The decision must be np.linalg.norm(...) <= tol; the
         # corpus holds points where a scalar squared-distance test decides
         # otherwise, so a goal test that skips the norm fails here.
         p, tol = SimParams(), ev.SUCCESS_TOLERANCE_M
+        monkeypatch.setattr(ev, "MAX_EVAL_STEPS", 0)
         target = np.array([0.3, -0.2, 3.0])
         rng = np.random.default_rng(12)
         scalar_differs = 0
@@ -122,8 +125,7 @@ class TestRunToGoal:
                 st = hover_state(p, target + u * radius)
                 d = st[0:3] - target
                 want = bool(np.linalg.norm(d) <= tol)
-                _, end, steps, _ = ev._run_to_goal(pid_command(target, p), st, target, p,
-                                                   max_steps=0)
+                _, end, steps, _ = ev._run_to_goal(pid_command(target, p), st, target, p)
                 assert (end is TermStatus.REACHED) == want and steps == (0 if want else -1)
                 d0, d1, d2 = d.tolist()
                 scalar_differs += (d0 * d0 + d1 * d1 + d2 * d2 <= tol * tol) != want

@@ -225,7 +225,7 @@ class TestCollectRollout:
 
         for e, seq in enumerate(np.random.SeedSequence(4).spawn(n)):
             env = HoverEnv(Platform.QUAD, SimParams(), EpisodeConfig(),
-                           RewardWeights(), np.random.default_rng(seq))
+                           RewardWeights(), np.random.default_rng(seq), itertools.count())
             obs = env.reset()
             for t in range(seg):
                 i = e * seg + t
