@@ -9,6 +9,7 @@ Commands:
                        [--controller {policy,pid}] [--seed N] --out DIR
     tiltrl write-config PATH
 
+An --out DIR must be new or an empty directory.
 Exit codes: 0 ok, 1 usage error, 2 runtime error.
 Any config key can be overridden via the TILTRL_<KEY> environment variable.
 """
@@ -127,6 +128,10 @@ def cmd_train(args) -> int:
         quad_nets = nn.load_checkpoint(source)[0]
         policy, a_copied = transfer.build_tilt_actor(quad_nets["actor"][0], init_rng)
         critic, c_copied = transfer.build_tilt_critic(quad_nets["critic"][0], init_rng)
+        widths = [net.layer_sizes[1:-1] for net in (policy, critic)]
+        if widths != [list(h)] * 2:
+            raise ConfigError(f"hidden_sizes {list(h)} differs from the --from networks'"
+                              f" hidden widths {widths}")
     else:
         policy = nn.make_mlp([vehicle.obs_dim, *h, vehicle.act_dim], init_rng,
                              output_tanh=True)
@@ -228,7 +233,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "controller", None) == "pid" and args.mode != "waypoint":
         parser.error("--controller pid needs --mode waypoint")
+    out = getattr(args, "out", None)
     try:
+        if out is not None and os.path.exists(out) and (not os.path.isdir(out)
+                                                        or os.listdir(out)):
+            sys.stderr.write(f"error: --out {out} exists and is not an empty directory\n")
+            return 2
         return args.func(args)
     except (ConfigError, ShapeMismatchError, CheckpointError) as exc:
         sys.stderr.write(f"error: {exc}\n")

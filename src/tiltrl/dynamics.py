@@ -49,6 +49,8 @@ class SimParams:
             raise ValueError("mass_kg must be > 0")
         if self.arm_length_m <= 0:
             raise ValueError("arm_length_m must be > 0")
+        if self.moment_ratio_m <= 0:   # yaw direction lives in rotor_spin_signs
+            raise ValueError("moment_ratio_m must be > 0")
         if any(i <= 0 for i in self.inertia_diag):
             raise ValueError("inertia_diag components must be > 0")
         if self.dt_s <= 0:

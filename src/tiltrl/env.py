@@ -61,6 +61,9 @@ class EpisodeConfig:
             raise ValueError("max_steps must be > 0")
         if not (self.bound_halfwidth_m > self.init_pos_halfwidth_m > 0):
             raise ValueError("need bound_halfwidth_m > init_pos_halfwidth_m > 0")
+        for name in ("init_speed_max_mps", "init_rate_max_radps", "euler_init_range_rad"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)

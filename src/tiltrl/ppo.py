@@ -1,5 +1,7 @@
 """On-policy PPO: rollout collection with a fixed-variance Gaussian policy,
-GAE advantages, clipped-surrogate updates, and value regression.
+GAE advantages, clipped-surrogate updates, and value regression. The value
+loss takes no coefficient: the critic shares no parameters with the actor,
+and Adam cancels a constant scale of its gradient up to eps.
 
 The action distribution is N(actor(obs), sigma^2 I) with constant sigma, so
 entropy is constant and no entropy bonus is optimized. Rollouts are
@@ -33,7 +35,6 @@ class TrainConfig:
     clip_eps: float = 0.2
     epochs_per_update: int = 10
     minibatch_size: int = 32
-    value_loss_coef: float = 0.5
     sigma: float = 1.0
     rollout_horizon: int = 2048
     n_envs: int = 8
@@ -213,15 +214,15 @@ def _policy_steps(policy: nn.Mlp, opt: nn.AdamState, buffer: RolloutBuffer,
 def _value_steps(critic: nn.Mlp, opt: nn.AdamState, buffer: RolloutBuffer,
                  returns: np.ndarray, perms: list[np.ndarray], cfg: TrainConfig, lr: float):
     """Value-regression steps through the first non-finite value loss.
-    Returns the value loss per minibatch."""
+    Returns the value loss, half the mean squared error, per minibatch."""
     losses = []
     for ob, ret in _minibatches(perms, cfg.minibatch_size, buffer.obs, returns):
         cri_acts = nn.activations(critic, ob)
         err = cri_acts[-1][:, 0] - ret
-        losses.append(cfg.value_loss_coef * float(np.mean(err * err)))
+        losses.append(0.5 * float(np.mean(err * err)))
         if not math.isfinite(losses[-1]):
             break
-        up_val = (cfg.value_loss_coef * 2.0 * err / len(ob))[:, None]
+        up_val = (err / len(ob))[:, None]
         nn.adam_step(critic, opt, nn.gradients(critic, ob, up_val, acts=cri_acts), lr)
     return losses
 
@@ -301,39 +302,38 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
           cfg: TrainConfig, rng: np.random.Generator, out_dir) -> list[TrainLogRow]:
     """Alternate rollout and update until total_steps env steps are used.
 
-    Writes out_dir/train_log.csv row by row, checkpoint_NNNNN.bin after
-    every checkpoint_every-th update and checkpoint_final.bin at the end;
-    each checkpoint holds both nets with their Adam states and the env steps
-    so far. Returns the log.
+    Rewrites out_dir/train_log.csv whole (nn.write_rows) after every update,
+    checkpoint_NNNNN.bin after every checkpoint_every-th update and
+    checkpoint_final.bin at the end; each checkpoint holds both nets with
+    their Adam states and the env steps so far. Returns the log.
     """
     policy_opt, critic_opt = nn.AdamState.for_net(policy), nn.AdamState.for_net(critic)
     nets = {"actor": (policy, policy_opt), "critic": (critic, critic_opt)}
     n_updates = max(1, cfg.total_steps // cfg.rollout_horizon)
     log: list[TrainLogRow] = []
-    with open(os.path.join(out_dir, "train_log.csv"), "w") as log_fh:
-        log_fh.write(TRAIN_LOG_HEADER + "\n")
-        for u in range(n_updates):
-            buf = collect_rollout(policy, critic, envs, cfg, rng)
-            losses = ppo_update(policy, critic, policy_opt, critic_opt, buf, cfg,
-                                u / n_updates, rng)
-            row = TrainLogRow(
-                update_index=u,
-                env_steps=(u + 1) * cfg.rollout_horizon,
-                mean_ep_reward=(float(np.mean(buf.episode_returns))
-                                if buf.episode_returns else math.nan),
-                mean_ep_len=(float(np.mean(buf.episode_lengths))
-                             if buf.episode_lengths else math.nan),
-                n_out_of_bounds=buf.episode_ends.count(TermStatus.OUT_OF_BOUNDS),
-                n_diverged=buf.episode_ends.count(TermStatus.DIVERGED),
-                n_max_steps=buf.episode_ends.count(TermStatus.MAX_STEPS),
-                action_clip_fraction=float(np.mean(np.abs(buf.actions) > 1.0)),
-                **losses)
-            log.append(row)
-            log_fh.write(row.csv() + "\n")
-            log_fh.flush()
-            if (u + 1) % cfg.checkpoint_every == 0:
-                nn.save_checkpoint(os.path.join(out_dir, f"checkpoint_{u + 1:05d}.bin"),
-                                   nets, cfg.seed, row.env_steps)
+    lines: list[str] = []
+    for u in range(n_updates):
+        buf = collect_rollout(policy, critic, envs, cfg, rng)
+        losses = ppo_update(policy, critic, policy_opt, critic_opt, buf, cfg,
+                            u / n_updates, rng)
+        row = TrainLogRow(
+            update_index=u,
+            env_steps=(u + 1) * cfg.rollout_horizon,
+            mean_ep_reward=(float(np.mean(buf.episode_returns))
+                            if buf.episode_returns else math.nan),
+            mean_ep_len=(float(np.mean(buf.episode_lengths))
+                         if buf.episode_lengths else math.nan),
+            n_out_of_bounds=buf.episode_ends.count(TermStatus.OUT_OF_BOUNDS),
+            n_diverged=buf.episode_ends.count(TermStatus.DIVERGED),
+            n_max_steps=buf.episode_ends.count(TermStatus.MAX_STEPS),
+            action_clip_fraction=float(np.mean(np.abs(buf.actions) > 1.0)),
+            **losses)
+        log.append(row)
+        lines.append(row.csv())
+        nn.write_rows(os.path.join(out_dir, "train_log.csv"), TRAIN_LOG_HEADER, lines)
+        if (u + 1) % cfg.checkpoint_every == 0:
+            nn.save_checkpoint(os.path.join(out_dir, f"checkpoint_{u + 1:05d}.bin"),
+                               nets, cfg.seed, row.env_steps)
     nn.save_checkpoint(os.path.join(out_dir, "checkpoint_final.bin"), nets, cfg.seed,
                        log[-1].env_steps)
     return log

@@ -20,6 +20,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -46,6 +47,8 @@ SEEDS = (1, 2, 3)
 DESK_STEPS = 500_000
 SNAP_EVERY = 2            # checkpoint every 2 updates -> ~15 curve points
 EVAL_EPISODES = 6
+EVAL_SEED = 4242          # episode ep draws its start from SeedSequence([EVAL_SEED, ep])
+EVAL_COUNTER_START = 1_000
 PARAMS = SimParams()
 
 
@@ -162,15 +165,14 @@ def _snapshots(kind: str, seed: int) -> list[tuple[int, str]]:
     return out
 
 
-def deterministic_eval_reward(actor: nn.Mlp, platform: Platform,
-                              episodes: int = EVAL_EPISODES) -> float:
+def deterministic_eval_reward(actor: nn.Mlp, platform: Platform) -> float:
     """Mean episode reward of the mean (noise-free) policy under the shrunk
     initialization; episode seeds fixed so all policies see the same draws."""
     totals = []
-    for ep in range(episodes):
+    for ep in range(EVAL_EPISODES):
         env = HoverEnv(platform, PARAMS, EpisodeConfig(), RewardWeights(),
-                       np.random.default_rng(np.random.SeedSequence([4242, ep])),
-                       itertools.count(1_000))
+                       np.random.default_rng(np.random.SeedSequence([EVAL_SEED, ep])),
+                       itertools.count(EVAL_COUNTER_START))
         obs = env.reset()
         total = 0.0
         while True:
@@ -183,16 +185,22 @@ def deterministic_eval_reward(actor: nn.Mlp, platform: Platform,
 
 
 def _eval_curve(kind: str, seed: int) -> list[tuple[int, float]]:
-    """Deterministic-eval reward at every logged checkpoint, cached as JSON."""
+    """Deterministic-eval reward at every logged checkpoint, cached as JSON
+    with the constants it was scored under; the stage's manifest covers the
+    rest of its inputs. A cache scored under other constants is rescored."""
     platform = Platform.QUAD if kind == "quad" else Platform.TILT_ROTOR
     cache_path = os.path.join(_run_dir(kind, seed), "eval_curve.json")
+    scoring = {"episodes": EVAL_EPISODES, "seed": EVAL_SEED,
+               "counter_start": EVAL_COUNTER_START}
     if os.path.exists(cache_path):
         with open(cache_path) as fh:
-            return [tuple(row) for row in json.load(fh)]
+            cached = json.load(fh)
+        if isinstance(cached, dict) and cached["scoring"] == scoring:
+            return [tuple(row) for row in cached["curve"]]
     curve = [(step_count, deterministic_eval_reward(_actor(path), platform))
              for step_count, path in _snapshots(kind, seed)]
-    with open(cache_path, "w") as fh:
-        json.dump(curve, fh)
+    with nn.atomic_open(cache_path) as fh:
+        json.dump({"scoring": scoring, "curve": curve}, fh)
     return curve
 
 
@@ -260,6 +268,34 @@ class TestArtifactCache:
         os.remove(os.path.join(_run_dir("quad", 1), "manifest.json"))
         _ensure_stage(argv)                 # no manifest: retrained
         assert len(trained) == 4
+
+    @pytest.fixture
+    def scored(self, tmp_path, monkeypatch):
+        """Curves of two fake snapshots into a fresh cache; set scored.reward to
+        the reward the next scoring gives."""
+        monkeypatch.setitem(globals(), "CACHE", str(tmp_path))
+        os.makedirs(_run_dir("quad", 1))
+        monkeypatch.setitem(globals(), "_snapshots",
+                            lambda kind, seed: [(4096, "a.bin"), (8192, "b.bin")])
+        monkeypatch.setitem(globals(), "_actor", lambda path: path)
+        scored = types.SimpleNamespace(reward=1.0)
+        monkeypatch.setitem(globals(), "deterministic_eval_reward",
+                            lambda actor, platform: scored.reward)
+        assert _eval_curve("quad", 1) == [(4096, 1.0), (8192, 1.0)]
+        scored.reward = 2.0
+        return scored
+
+    def test_curve_under_current_constants_reused(self, scored):
+        assert _eval_curve("quad", 1) == [(4096, 1.0), (8192, 1.0)]
+
+    @pytest.mark.parametrize("constant, value", [("EVAL_EPISODES", 5), ("EVAL_SEED", 1),
+                                                 ("EVAL_COUNTER_START", 0)])
+    def test_curve_under_other_constants_rescored(self, scored, monkeypatch,
+                                                  constant, value):
+        monkeypatch.setitem(globals(), constant, value)
+        assert _eval_curve("quad", 1) == [(4096, 2.0), (8192, 2.0)]
+        scored.reward = 3.0
+        assert _eval_curve("quad", 1) == [(4096, 2.0), (8192, 2.0)]   # and cached anew
 
     def test_key_tracks_config_overrides(self, tmp_path, monkeypatch):
         # The training child inherits the environment, so a TILTRL_* config

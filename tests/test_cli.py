@@ -259,6 +259,17 @@ class TestTrainTilt:
                  "--steps", "128", "--out", str(tmp_path / "t2"))
         assert rc == 2
 
+    def test_hidden_sizes_must_match_from(self, tmp_path, capsys):
+        quad = train_quad(tmp_path)   # 16, 16 hidden widths
+        out = tmp_path / "tilt"
+        assert run(tmp_path, "train-tilt", "--from", str(quad / "checkpoint_final.bin"),
+                   "--steps", "64", "--out", str(out),
+                   env={"TILTRL_HIDDEN_SIZES": "32, 32"}) == 2
+        assert capsys.readouterr().err == (
+            "error: hidden_sizes [32, 32] differs from the --from networks'"
+            " hidden widths [[16, 16], [16, 16]]\n")
+        assert not out.exists()
+
     def test_from_and_scratch_mutually_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as e:
             run(tmp_path, "train-tilt", "--scratch", "--from", "x",
@@ -351,13 +362,37 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corrup
                                       ("TILTRL_HIDDEN_SIZES", "0, 64"),
                                       ("TILTRL_GAE_LAMBDA", "-3"), ("TILTRL_LR0", "-1"),
                                       ("TILTRL_TILT_RATE_RANGE_RADPS", "3, -3"),
-                                      ("TILTRL_TILT_RATE_RANGE_RADPS", "0, 6")])
+                                      ("TILTRL_TILT_RATE_RANGE_RADPS", "0, 6"),
+                                      ("TILTRL_MOMENT_RATIO_M", "0"),
+                                      ("TILTRL_INIT_SPEED_MAX_MPS", "-1"),
+                                      ("TILTRL_INIT_RATE_MAX_RADPS", "-1"),
+                                      ("TILTRL_EULER_INIT_RANGE_RAD", "-0.5")])
 def test_unusable_config_value_is_runtime_error(tmp_path, capsys, var, raw):
     assert run(tmp_path, "train-quad", "--steps", "64", "--out", str(tmp_path / "o"),
                env={var: raw}) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and var[len("TILTRL_"):].lower() in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["train-quad", "--steps", "64"],
+                                  ["train-tilt", "--scratch", "--steps", "64"],
+                                  ["eval", "c.bin", "--mode", "hover", "--trials", "1"]],
+                         ids=["train-quad", "train-tilt", "eval"])
+def test_non_empty_out_refused(tmp_path, capsys, monkeypatch, argv):
+    # A reused --out would mix two runs' files under one manifest.
+    _quad_checkpoint(tmp_path / "c.bin")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "checkpoint_00001.bin").write_bytes(b"an earlier run")
+    assert run(tmp_path, *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {out} exists and is not an empty directory\n")
+    assert [(f.name, f.read_bytes()) for f in out.iterdir()] == [
+        ("checkpoint_00001.bin", b"an earlier run")]
+    (out / "checkpoint_00001.bin").unlink()
+    assert run(tmp_path, *argv, "--out", str(out)) == 0   # an empty directory is new
 
 
 @pytest.mark.parametrize("mode", ["hover", "waypoint"])

@@ -83,7 +83,7 @@ class TestErrors:
         with pytest.raises(ConfigError, match="mass_kg"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("key", ["bogus_key", "kp_pos"])
+    @pytest.mark.parametrize("key", ["bogus_key", "kp_pos", "value_loss_coef"])
     def test_unknown_key_named(self, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(format_config(default_config()) + f"{key} = 1\n")
@@ -110,7 +110,10 @@ class TestErrors:
                                       "sigma = -1.0", "hidden_sizes = -1, 64",
                                       "hidden_sizes = 0, 64", "gae_lambda = -3.0",
                                       "lr0 = -1.0", "tilt_rate_range_radps = 3.0, -3.0",
-                                      "tilt_rate_range_radps = 0.0, 6.0"])
+                                      "tilt_rate_range_radps = 0.0, 6.0",
+                                      "moment_ratio_m = 0.0", "init_speed_max_mps = -1.0",
+                                      "init_rate_max_radps = -1.0",
+                                      "euler_init_range_rad = -0.5"])
     def test_unusable_value_named(self, tmp_path, line):
         assert_line_rejected_by_key(tmp_path, line)
 

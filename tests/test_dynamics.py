@@ -47,6 +47,7 @@ class TestSimParams:
         {"tilt_rate_range_radps": (3.0, 3.0)},
         {"tilt_angle_range_rad": (0.5, -0.5)},   # symmetric but inverted
         {"tilt_rate_range_radps": (0.0, 6.0)},   # ordered but not symmetric
+        {"moment_ratio_m": 0.0},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -204,6 +204,16 @@ class TestReset:
                 np.testing.assert_allclose(s[13:17], 0.0)
                 np.testing.assert_allclose(s[17:21], PARAMS.hover_thrust_n)
 
+    @pytest.mark.parametrize("key, part, at_zero", [
+        ("init_speed_max_mps", slice(3, 6), [0.0, 0.0, 0.0]),
+        ("init_rate_max_radps", slice(10, 13), [0.0, 0.0, 0.0]),
+        ("euler_init_range_rad", slice(6, 10), [1.0, 0.0, 0.0, 0.0])])
+    def test_negative_range_rejected_zero_kept(self, key, part, at_zero):
+        with pytest.raises(ValueError, match=key):
+            EpisodeConfig(**{key: -0.5})
+        s = reset_state(np.random.default_rng(0), EpisodeConfig(**{key: 0.0}), 600, PARAMS)
+        assert s[part].tolist() == at_zero
+
     def test_so3_mean_rotation_angle(self):
         # Brute-force oracle: mean angle of uniform SO(3) by numeric
         # integration of theta * (1-cos theta)/pi over [0, pi].

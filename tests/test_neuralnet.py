@@ -1,5 +1,7 @@
+import ast
 import builtins
 import dataclasses
+import glob
 import math
 import os
 import signal
@@ -9,9 +11,9 @@ import numpy as np
 import pytest
 
 import tiltrl.neuralnet as nn
-from tiltrl import cli
+from tiltrl import cli, ppo
 from tiltrl.config import default_config, write_config
-from tiltrl.env import TRACE_HEADER, TermStatus
+from tiltrl.env import TRACE_HEADER, Platform, TermStatus
 from tiltrl.evalsuite import SUMMARY_HEADER, TrialResult, summary_rows
 from tiltrl.ppo import TrainConfig
 from tiltrl.neuralnet import (AdamState, Mlp, ShapeMismatchError,
@@ -331,6 +333,15 @@ _NET = make_mlp([3, 4, 2], np.random.default_rng(0))
 _TRIAL = TrialResult(trial=0, seed=7, end=TermStatus.REACHED, steps_to_reach=1,
                      final_error_m=0.1, final_tilt_rad=(0.0,) * 4)
 
+def _train_one_update(d, seed):
+    """A one-update training stage into d: train_log.csv, checkpoint_final.bin."""
+    cfg = dataclasses.replace(default_config(), train=TrainConfig(
+        total_steps=16, rollout_horizon=16, n_envs=2, seed=seed))
+    rng = np.random.default_rng(seed)
+    ppo.train(cli.make_envs(Platform.QUAD, cfg, seed), make_mlp([18, 8, 4], rng),
+              make_mlp([18, 8, 1], rng, output_tanh=False), cfg.train, rng, str(d))
+
+
 # name -> write(dir, version): each writes its artifact(s) into dir, with
 # contents that depend on version.
 ARTIFACT_WRITERS = {
@@ -342,6 +353,7 @@ ARTIFACT_WRITERS = {
     "summary": lambda d, v: write_rows(d / "summary.csv", SUMMARY_HEADER,
                                        summary_rows([dataclasses.replace(_TRIAL, seed=v)])),
     "trace": lambda d, v: write_rows(d / "trace.csv", TRACE_HEADER, [f"{v},0.5"]),
+    "train_log": _train_one_update,
     "transfer_reports": lambda d, v: cli._write_transfer_report(
         str(d), {"actor": [("W0", "fresh", v)], "critic": [("W0", "fresh", v)]}),
 }
@@ -400,6 +412,34 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
+    def test_only_atomic_open_writes_files(self):
+        # So every artifact above is covered: an open() whose mode may write,
+        # anywhere in the package but inside atomic_open, fails this test.
+        writers = []
+
+        class Opens(ast.NodeVisitor):
+            def __init__(self, filename):
+                self.scope = [filename]
+
+            def visit_FunctionDef(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            def visit_Call(self, node):
+                if isinstance(node.func, ast.Name) and node.func.id == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (k.value for k in node.keywords if k.arg == "mode"), None)
+                    if mode is not None and not (isinstance(mode, ast.Constant)
+                                                 and not set(mode.value) & set("wax+")):
+                        writers.append(":".join(self.scope))
+                self.generic_visit(node)
+
+        for path in sorted(glob.glob(os.path.join(os.path.dirname(nn.__file__), "*.py"))):
+            with open(path) as fh:
+                Opens(os.path.basename(path)).visit(ast.parse(fh.read()))
+        assert writers == ["neuralnet.py:atomic_open"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -427,12 +467,19 @@ class TestForkMap:
         with pytest.raises(IsADirectoryError, match=r"^\[Errno 21\] Is a directory: 'trace.csv'$"):
             nn.fork_map(fn, 3)
 
-    def test_child_oserror_keeps_the_eval_exit_code(self, tmp_path, capsys):
-        # Trial 1 runs in the child, whose trace cannot replace a directory.
+    def test_child_oserror_keeps_the_eval_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Trial 1 runs in the child, whose trace write fails.
         ckpt = tmp_path / "actor.bin"
         save_checkpoint(ckpt, {"actor": (make_mlp([22, 8, 8], np.random.default_rng(0)), None)},
                         seed=0, train_step=0)
-        (tmp_path / "out" / "hover_trace_001.csv").mkdir(parents=True)
+        real_atomic_open = nn.atomic_open
+
+        def atomic_open(path, *args):
+            if os.path.basename(path) == "hover_trace_001.csv":
+                raise IsADirectoryError(21, "Is a directory", path)
+            return real_atomic_open(path, *args)
+
+        monkeypatch.setattr(nn, "atomic_open", atomic_open)
         assert cli.main(["eval", str(ckpt), "--mode", "hover", "--trials", "2",
                          "--out", str(tmp_path / "out")]) == 2
         assert "io error: [Errno 21]" in capsys.readouterr().err
