@@ -100,13 +100,10 @@ def stage_manifest(args, cfg: RunConfig | None = None) -> dict:
         "numpy_version": np.__version__,
         "stage": ("quad" if args.command == "train-quad" else
                   "tilt_developmental" if source else "tilt_scratch"),
-        "seed": cfg.train.seed,
         "from_checkpoint_sha256": (hashlib.sha256(pathlib.Path(source).read_bytes())
                                    .hexdigest() if source else None),
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in as_flat_dict(cfg).items()},
-        "artifacts": {"train_log": "train_log.csv",
-                      "final_checkpoint": "checkpoint_final.bin"},
     }
 
 

@@ -4,9 +4,9 @@ training.
 File format: one `key = value` per line, `#` comments, vectors as
 comma-separated numbers. The keys are the fields of the four section
 dataclasses (SI units); each value takes its default's type, a vector as
-many numbers as its default has, and every number must be finite. A config
-file must contain every key; any TILTRL_<KEY> environment variable
-overrides the corresponding value.
+many numbers as its default has and no empty entry, and every number must
+be finite. A config file must contain every key, each once; any
+TILTRL_<KEY> environment variable overrides the corresponding value.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ def default_config() -> RunConfig:
 def _parse_value(key: str, raw: str):
     _, default = SCHEMA[key]
     vector = isinstance(default, tuple)
+    parts = [p.strip() for p in raw.split(",")] if vector else [raw]
+    if not all(parts):
+        raise ConfigError(f"key '{key}' has an empty entry: {raw!r}")
     try:
-        parts = [p.strip() for p in raw.split(",") if p.strip()] if vector else [raw]
         value = tuple(type(default[0] if vector else default)(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
@@ -78,6 +80,8 @@ def _parse_lines(lines, source: str) -> dict:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key '{key}' ({source}:{lineno})")
+        if key in values:
+            raise ConfigError(f"repeated config key '{key}' ({source}:{lineno})")
         values[key] = _parse_value(key, raw)
     return values
 

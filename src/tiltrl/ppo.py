@@ -300,7 +300,8 @@ TRAIN_LOG_HEADER = ",".join(f.name for f in fields(TrainLogRow))
 
 def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
           cfg: TrainConfig, rng: np.random.Generator, out_dir) -> list[TrainLogRow]:
-    """Alternate rollout and update until total_steps env steps are used.
+    """Run max(1, total_steps // rollout_horizon) updates, each after a
+    rollout of rollout_horizon env steps: whole rollouts, at least one.
 
     Rewrites out_dir/train_log.csv whole (nn.write_rows) after every update,
     checkpoint_NNNNN.bin after every checkpoint_every-th update and

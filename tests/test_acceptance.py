@@ -14,6 +14,8 @@ seed at a time. Delete the cache directory to force a full retrain.
 
 import dataclasses
 import glob
+import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -28,14 +30,14 @@ import pytest
 
 import tiltrl
 import tiltrl.neuralnet as nn
-from tiltrl import cli, ppo, transfer
+from tiltrl import cli, ppo
 from tiltrl.config import default_config, write_config
 from tiltrl.dynamics import (SimParams, derivative, hover_state, quat_to_rot,
                              step_flat)
 from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
                         RewardWeights, TermStatus)
-from tiltrl.evalsuite import (SQUARE_MISSION, run_fault_ablation, run_hover_eval,
-                              run_waypoint_mission)
+from tiltrl.evalsuite import (SQUARE_MISSION, actor_platform, run_fault_ablation,
+                              run_hover_eval, run_waypoint_mission)
 
 pytestmark = pytest.mark.acceptance
 
@@ -48,7 +50,6 @@ DESK_STEPS = 500_000
 SNAP_EVERY = 2            # checkpoint every 2 updates -> ~15 curve points
 EVAL_EPISODES = 6
 EVAL_SEED = 4242          # episode ep draws its start from SeedSequence([EVAL_SEED, ep])
-EVAL_COUNTER_START = 1_000
 PARAMS = SimParams()
 
 
@@ -165,14 +166,16 @@ def _snapshots(kind: str, seed: int) -> list[tuple[int, str]]:
     return out
 
 
-def deterministic_eval_reward(actor: nn.Mlp, platform: Platform) -> float:
-    """Mean episode reward of the mean (noise-free) policy under the shrunk
-    initialization; episode seeds fixed so all policies see the same draws."""
-    totals = []
+def deterministic_eval_reward(actor: nn.Mlp) -> float:
+    """Mean episode reward of the mean (noise-free) policy on its platform
+    under the shrunk initialization (no SO(3) warm-up); episode seeds fixed
+    so all policies see the same draws."""
+    platform, totals = actor_platform(actor), []
     for ep in range(EVAL_EPISODES):
-        env = HoverEnv(platform, PARAMS, EpisodeConfig(), RewardWeights(),
+        env = HoverEnv(platform, PARAMS, EpisodeConfig(so3_warmup_episodes=0),
+                       RewardWeights(),
                        np.random.default_rng(np.random.SeedSequence([EVAL_SEED, ep])),
-                       itertools.count(EVAL_COUNTER_START))
+                       itertools.count())
         obs = env.reset()
         total = 0.0
         while True:
@@ -186,18 +189,19 @@ def deterministic_eval_reward(actor: nn.Mlp, platform: Platform) -> float:
 
 def _eval_curve(kind: str, seed: int) -> list[tuple[int, float]]:
     """Deterministic-eval reward at every logged checkpoint, cached as JSON
-    with the constants it was scored under; the stage's manifest covers the
-    rest of its inputs. A cache scored under other constants is rescored."""
-    platform = Platform.QUAD if kind == "quad" else Platform.TILT_ROTOR
+    with the constants and the source of the scoring function it was scored
+    under; the stage's manifest covers the rest of its inputs. A cache
+    scored otherwise is rescored."""
     cache_path = os.path.join(_run_dir(kind, seed), "eval_curve.json")
+    code = inspect.getsource(deterministic_eval_reward).encode()
     scoring = {"episodes": EVAL_EPISODES, "seed": EVAL_SEED,
-               "counter_start": EVAL_COUNTER_START}
+               "code_sha256": hashlib.sha256(code).hexdigest()}
     if os.path.exists(cache_path):
         with open(cache_path) as fh:
             cached = json.load(fh)
         if isinstance(cached, dict) and cached["scoring"] == scoring:
             return [tuple(row) for row in cached["curve"]]
-    curve = [(step_count, deterministic_eval_reward(_actor(path), platform))
+    curve = [(step_count, deterministic_eval_reward(_actor(path)))
              for step_count, path in _snapshots(kind, seed)]
     with nn.atomic_open(cache_path) as fh:
         json.dump({"scoring": scoring, "curve": curve}, fh)
@@ -280,7 +284,7 @@ class TestArtifactCache:
         monkeypatch.setitem(globals(), "_actor", lambda path: path)
         scored = types.SimpleNamespace(reward=1.0)
         monkeypatch.setitem(globals(), "deterministic_eval_reward",
-                            lambda actor, platform: scored.reward)
+                            lambda actor: scored.reward)
         assert _eval_curve("quad", 1) == [(4096, 1.0), (8192, 1.0)]
         scored.reward = 2.0
         return scored
@@ -288,14 +292,20 @@ class TestArtifactCache:
     def test_curve_under_current_constants_reused(self, scored):
         assert _eval_curve("quad", 1) == [(4096, 1.0), (8192, 1.0)]
 
-    @pytest.mark.parametrize("constant, value", [("EVAL_EPISODES", 5), ("EVAL_SEED", 1),
-                                                 ("EVAL_COUNTER_START", 0)])
+    @pytest.mark.parametrize("constant, value", [("EVAL_EPISODES", 5), ("EVAL_SEED", 1)])
     def test_curve_under_other_constants_rescored(self, scored, monkeypatch,
                                                   constant, value):
         monkeypatch.setitem(globals(), constant, value)
         assert _eval_curve("quad", 1) == [(4096, 2.0), (8192, 2.0)]
         scored.reward = 3.0
         assert _eval_curve("quad", 1) == [(4096, 2.0), (8192, 2.0)]   # and cached anew
+
+    def test_curve_of_other_scoring_code_rescored(self, scored, monkeypatch):
+        monkeypatch.setitem(globals(), "deterministic_eval_reward",
+                            lambda actor: -scored.reward)
+        assert _eval_curve("quad", 1) == [(4096, -2.0), (8192, -2.0)]
+        scored.reward = 3.0
+        assert _eval_curve("quad", 1) == [(4096, -2.0), (8192, -2.0)]
 
     def test_key_tracks_config_overrides(self, tmp_path, monkeypatch):
         # The training child inherits the environment, so a TILTRL_* config
@@ -554,51 +564,55 @@ class TestFaultTolerance:
 
 # --- 8. transfer invariants --------------------------------------------------
 
+def _transfer_invariants(quad: nn.Mlp, dev: nn.Mlp) -> dict[str, bool]:
+    """The developmental actor's transfer invariants against its quad actor:
+    mask, the frozen entries are exactly W0[:, :18], b0, W1 and b1; frozen,
+    those entries are bit-equal to the quad's; block, on inputs whose tilt
+    columns are zero the hidden stack equals a zero-padded quad stack, run
+    through identically shaped matrix products."""
+    n = Platform.QUAD.obs_dim
+    padded = nn.Mlp(dev.shapes, output_tanh=True)      # all zero, nothing frozen
+    padded.weights[0][:, :n], padded.biases[0][:] = quad.weights[0], quad.biases[0]
+    padded.weights[1][:], padded.biases[1][:] = quad.weights[1], quad.biases[1]
+    padded.frozen_w[0][:, :n] = padded.frozen_b[0][:] = True
+    padded.frozen_w[1][:] = padded.frozen_b[1][:] = True
+    frozen = padded.frozen
+    x = np.zeros((50, dev.in_dim))
+    x[:, :n] = np.random.default_rng(3).standard_normal((50, n))
+    return {"mask": bool(np.array_equal(dev.frozen, frozen)),
+            "frozen": dev.params[frozen].tobytes() == padded.params[frozen].tobytes(),
+            "block": all(np.array_equal(h_dev, h_quad) for h_dev, h_quad in
+                         zip(nn.activations(dev, x)[1:3], nn.activations(padded, x)[1:3]))}
+
+
+def _hand_built_pair() -> tuple[nn.Mlp, nn.Mlp]:
+    """A small quad actor and a tilt actor that holds its hidden stack
+    frozen, as the transfer invariants require."""
+    rng = np.random.default_rng(0)
+    quad = nn.make_mlp([18, 6, 5, 4], rng, output_tanh=True)
+    dev = nn.make_mlp([22, 6, 5, 8], rng, output_tanh=True)
+    dev.weights[0][:, :18], dev.biases[0][:] = quad.weights[0], quad.biases[0]
+    dev.weights[1][:], dev.biases[1][:] = quad.weights[1], quad.biases[1]
+    dev.frozen_w[0][:, :18] = dev.frozen_b[0][:] = True
+    dev.frozen_w[1][:] = dev.frozen_b[1][:] = True
+    return quad, dev
+
+
 class TestTransferInvariants:
     def test_frozen_identity_after_stage2(self, artifacts):
-        seed = SEEDS[0]
-        quad_actor = _actor(_final("quad", seed))
-        # Reproduce the exact transfer-time networks the CLI built.
-        init_seq, _ = np.random.SeedSequence([seed, 0x7A1]).spawn(2)
-        init_rng = np.random.default_rng(init_seq)
-        tilt0, _ = transfer.build_tilt_actor(quad_actor, init_rng)
-        trained = _actor(_final("dev", seed))
+        checks = _transfer_invariants(_actor(_final("quad", SEEDS[0])),
+                                      _actor(_final("dev", SEEDS[0])))
+        report("transfer invariants (frozen bit-identity, block identity)",
+               all(checks.values()), " ".join(f"{k}={v}" for k, v in checks.items()))
 
-        frozen_ok = True
-        for w0, w1, mask in zip(tilt0.weights, trained.weights, trained.frozen_w):
-            frozen_ok = frozen_ok and np.array_equal(w0[mask], w1[mask])
-        for b0, b1, mask in zip(tilt0.biases, trained.biases, trained.frozen_b):
-            frozen_ok = frozen_ok and np.array_equal(b0[mask], b1[mask])
-
-        # Block identity: with the fresh input columns zeroed, the tilt hidden
-        # stack must reproduce the quad hidden stack exactly. Compare against
-        # a zero-padded copy of the quad net so both sides run identically
-        # shaped matrix products.
-        padded = nn.make_mlp(tilt0.layer_sizes, np.random.default_rng(0),
-                             output_tanh=True)
-        for li in range(len(padded.weights)):
-            padded.weights[li][:] = 0.0
-            padded.biases[li][:] = 0.0
-        padded.weights[0][:, :18] = quad_actor.weights[0]
-        padded.biases[0][:] = quad_actor.biases[0]
-        padded.weights[1][:] = quad_actor.weights[1]
-        padded.biases[1][:] = quad_actor.biases[1]
-
-        rng = np.random.default_rng(3)
-        block_ok = True
-        for _ in range(50):
-            x = np.zeros(22)
-            x[:18] = rng.standard_normal(18)
-            h_tilt = x
-            h_quad = x
-            for li in range(2):
-                h_tilt = np.tanh(tilt0.weights[li] @ h_tilt + tilt0.biases[li])
-                h_quad = np.tanh(padded.weights[li] @ h_quad + padded.biases[li])
-            block_ok = block_ok and np.array_equal(h_tilt, h_quad)
-
-        ok = frozen_ok and block_ok
-        report("transfer invariants (frozen bit-identity, block identity)", ok,
-               f"frozen={frozen_ok} block={block_ok}")
+    def test_check_rejects_cleared_flags_and_moved_weights(self):
+        quad, dev = _hand_built_pair()
+        assert _transfer_invariants(quad, dev) == dict(mask=True, frozen=True, block=True)
+        dev.frozen[:] = False
+        assert _transfer_invariants(quad, dev) == dict(mask=False, frozen=True, block=True)
+        quad, dev = _hand_built_pair()
+        dev.weights[1][2, 3] = np.nextafter(dev.weights[1][2, 3], np.inf)
+        assert _transfer_invariants(quad, dev) == dict(mask=True, frozen=False, block=False)
 
 
 # --- 9. waypoint mission -----------------------------------------------------

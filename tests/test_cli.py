@@ -63,7 +63,7 @@ class TestTrainQuad:
         out = train_quad(tmp_path, seed="11")
         m = json.loads((out / "manifest.json").read_text())
         assert m["stage"] == "quad"
-        assert m["seed"] == 11
+        assert m["config"]["seed"] == 11
         assert m["config"]["total_steps"] == 256
         assert m["config"]["n_envs"] == 2
         assert m["python_version"] == platform.python_version()
@@ -71,6 +71,8 @@ class TestTrainQuad:
         assert m["source_sha256"] == cli.source_sha256()
         assert m["from_checkpoint_sha256"] is None
         assert m["completed"] is True
+        # The seed lives in the config block only; no block restates file names.
+        assert "seed" not in m and "artifacts" not in m
 
     def test_failed_training_leaves_manifest_not_completed(self, tmp_path, monkeypatch):
         class Interrupted(Exception):
@@ -366,7 +368,8 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corrup
                                       ("TILTRL_MOMENT_RATIO_M", "0"),
                                       ("TILTRL_INIT_SPEED_MAX_MPS", "-1"),
                                       ("TILTRL_INIT_RATE_MAX_RADPS", "-1"),
-                                      ("TILTRL_EULER_INIT_RANGE_RAD", "-0.5")])
+                                      ("TILTRL_EULER_INIT_RANGE_RAD", "-0.5"),
+                                      ("TILTRL_INERTIA_DIAG", "0.0082,, 0.0082, 0.0164")])
 def test_unusable_config_value_is_runtime_error(tmp_path, capsys, var, raw):
     assert run(tmp_path, "train-quad", "--steps", "64", "--out", str(tmp_path / "o"),
                env={var: raw}) == 2

@@ -57,7 +57,7 @@ class TestRoundTrip:
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
-        text = format_config(default_config())
+        text = format_config(default_config()).replace("mass_kg = 1.5\n", "")
         path.write_text("# header comment\n\n" + text + "\nmass_kg = 2.0  # inline\n")
         assert load_config(str(path)).sim.mass_kg == 2.0
 
@@ -89,6 +89,19 @@ class TestErrors:
         path.write_text(format_config(default_config()) + f"{key} = 1\n")
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_config(str(path))
+
+    def test_repeated_key_named(self, tmp_path):
+        # A second line for a key would otherwise win silently.
+        path = tmp_path / "run.cfg"
+        text = format_config(default_config())
+        path.write_text(text + "sigma = 0.5\n")
+        with pytest.raises(ConfigError, match=rf"repeated config key 'sigma' .*:"
+                                              rf"{len(text.splitlines()) + 1}\)"):
+            load_config(str(path))
+
+    def test_empty_vector_entry_named(self, tmp_path):
+        # Dropping the empty entry would leave three numbers, the right count.
+        assert_line_rejected_by_key(tmp_path, "inertia_diag = 0.0082,, 0.0082, 0.0164")
 
     def test_bad_value_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -159,11 +172,21 @@ def test_as_flat_dict_keys_match_schema():
     assert set(as_flat_dict(default_config())) == set(cfgmod.SCHEMA)
 
 
-def test_config_does_not_import_the_evaluation():
-    # A fresh interpreter, so no other test's imports are in sys.modules.
-    code = "import sys, tiltrl.config; print('tiltrl.evalsuite' in sys.modules)"
+def _fresh_interpreter(code: str) -> str:
+    """stdout of code run in a fresh interpreter, so no other test's
+    imports are in sys.modules."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfgmod.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_config_does_not_import_the_evaluation():
+    code = "import sys, tiltrl.config; print('tiltrl.evalsuite' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, tiltrl; print(sorted(n for n in sys.modules if n.startswith('tiltrl.')))"
+    assert _fresh_interpreter(code) == "[]"

@@ -218,7 +218,6 @@ class TestHoverEval:
         for r in results:
             assert r.final_error_m >= 0.0
             assert isinstance(r.success, bool)
-            assert len(r.final_tilt_rad) == 4
 
     def test_traces_recorded_on_request(self, tmp_path):
         actor = zero_actor(Platform.QUAD)
@@ -281,21 +280,25 @@ class TestFaultAblation:
             assert all(len(r.servo_ids) == n for r in results)
             assert all(len(set(r.servo_ids)) == n for r in results)
 
-    def test_response_probability_zero_freezes_tilt(self, monkeypatch):
+    def test_response_probability_zero_freezes_tilt(self, tmp_path, monkeypatch):
         # A dead servo (response probability 0) never moves: with all four
         # servos faulty and a constant tilt command, tilt angles stay at the
-        # zero initialization.
-        p = SimParams()
+        # zero initialization. The trace's tilt columns show every step.
         actor = zero_actor()
         actor.biases[-1][4:] = 0.5
-        monkeypatch.setattr(ev, "FAULT_RESPONSE_PROBABILITY", 0.0)
-        _, dead = ev.run_fault_ablation(actor, 4, 2, p, seed=2)
-        for r in dead:
-            np.testing.assert_array_equal(r.final_tilt_rad, 0.0)
-        monkeypatch.setattr(ev, "FAULT_RESPONSE_PROBABILITY", 1.0)
-        _, live = ev.run_fault_ablation(actor, 4, 2, p, seed=2)
-        for r in live:
-            assert np.any(np.asarray(r.final_tilt_rad) != 0.0)
+        tilt = [TRACE_HEADER.split(",").index(f"tilt{i}") for i in (1, 2, 3, 4)]
+
+        def tilts(probability):
+            monkeypatch.setattr(ev, "FAULT_RESPONSE_PROBABILITY", probability)
+            trace_dir = tmp_path / str(probability)
+            trace_dir.mkdir()
+            ev._run_trials(actor, SimParams(), 2, seed=2, n_faulty=4, trace_dir=str(trace_dir))
+            return np.vstack([np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, tilt]
+                              for path in sorted(trace_dir.iterdir())])
+
+        dead = tilts(0.0)
+        assert dead.size and not dead.any()
+        assert tilts(1.0)[-1].all()
 
     def test_success_count_matches_results(self):
         p = SimParams()

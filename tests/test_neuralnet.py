@@ -331,7 +331,7 @@ class _DiskFullFile:
 
 _NET = make_mlp([3, 4, 2], np.random.default_rng(0))
 _TRIAL = TrialResult(trial=0, seed=7, end=TermStatus.REACHED, steps_to_reach=1,
-                     final_error_m=0.1, final_tilt_rad=(0.0,) * 4)
+                     final_error_m=0.1)
 
 def _train_one_update(d, seed):
     """A one-update training stage into d: train_log.csv, checkpoint_final.bin."""
