@@ -7,6 +7,7 @@ Commands:
                        [--steps N] --out DIR
     tiltrl eval CKPT --mode {hover,waypoint,ablate} [--trials N] [--faulty N]
                        [--controller {policy,pid}] [--seed N] --out DIR
+    tiltrl eval --mode waypoint --controller pid [--seed N] --out DIR
     tiltrl write-config PATH
 
 An --out DIR must be new or an empty directory.
@@ -228,8 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "controller", None) == "pid" and args.mode != "waypoint":
-        parser.error("--controller pid needs --mode waypoint")
+    if getattr(args, "controller", None) == "pid":
+        if args.mode != "waypoint":
+            parser.error("--controller pid needs --mode waypoint")
+        if args.checkpoint is not None:
+            parser.error(f"--controller pid flies no checkpoint, got {args.checkpoint}")
     out = getattr(args, "out", None)
     try:
         if out is not None and os.path.exists(out) and (not os.path.isdir(out)

@@ -111,8 +111,11 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         values = as_flat_dict(default_config())
     else:
-        with open(path) as fh:
-            values = _parse_lines(fh, str(path))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                values = _parse_lines(fh, str(path))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         missing = [k for k in SCHEMA if k not in values]
         if missing:
             raise ConfigError(f"missing config key '{missing[0]}'"

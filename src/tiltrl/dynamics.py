@@ -59,6 +59,9 @@ class SimParams:
             raise ValueError("motor_lag_s must be >= dt_s")
         if self.thrust_range_n[0] < 0 or self.thrust_range_n[1] <= self.thrust_range_n[0]:
             raise ValueError("thrust_range_n must satisfy 0 <= min < max")
+        if not self.thrust_range_n[0] <= self.hover_thrust_n <= self.thrust_range_n[1]:
+            raise ValueError(f"thrust_range_n {self.thrust_range_n} must hold the hover thrust"
+                             f" mass_kg * gravity_mps2 / 4 = {self.hover_thrust_n:g} N")
         lo, hi = self.tilt_rate_range_radps
         if lo >= hi or abs(lo + hi) > 1e-12:
             raise ValueError("tilt_rate_range_radps must satisfy min < max, symmetric about 0")

@@ -61,7 +61,8 @@ class EpisodeConfig:
             raise ValueError("max_steps must be > 0")
         if not (self.bound_halfwidth_m > self.init_pos_halfwidth_m > 0):
             raise ValueError("need bound_halfwidth_m > init_pos_halfwidth_m > 0")
-        for name in ("init_speed_max_mps", "init_rate_max_radps", "euler_init_range_rad"):
+        for name in ("init_speed_max_mps", "init_rate_max_radps", "so3_warmup_episodes",
+                     "euler_init_range_rad"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -208,10 +209,9 @@ class HoverEnv:
         self.y: np.ndarray | None = None
         self.t = 0
         self.episode_return = 0.0
-        self._target = tuple(map(float, cfg.target_position_m))
 
     def observe(self) -> np.ndarray:
-        return observation(self.y, self._target, self.platform)
+        return observation(self.y, self.cfg.target_position_m, self.platform)
 
     def reset(self) -> np.ndarray:
         self.y = reset_state(self.rng, self.cfg, next(self.counter), self.params)
@@ -228,7 +228,7 @@ class HoverEnv:
         except NonFiniteError:
             return np.zeros(self.platform.obs_dim), 0.0, TermStatus.DIVERGED
         self.y = y
-        obs = observation(y, self._target, self.platform)
+        obs = observation(y, self.cfg.target_position_m, self.platform)
         r = reward(obs, a, self.weights)
         self.episode_return += r
         return obs, r, termination(y, self.t, self.cfg)

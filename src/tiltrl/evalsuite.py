@@ -8,7 +8,6 @@ policies see identical conditions.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -73,12 +72,13 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     SUCCESS_TOLERANCE_M, the state leaves the physical-validity envelope or
     MAX_EVAL_STEPS run out.
 
-    command_fn(y) -> (action vector, thrusts, tilt rates). Returns
-    (flat state, end, steps_to_reach, rows): end is REACHED, MAX_STEPS or
-    DIVERGED (past MAX_SPEED_MPS or MAX_BODY_RATE_RADPS after a step, or a
-    non-finite RK4 step), and the trace keeps the row of the last step."""
-    target = np.asarray(target, dtype=float)
-    tx, ty, tz = target.tolist()
+    command_fn(y, target) -> (action vector, thrusts, tilt rates), handed
+    the target as given. Returns (flat state, end, steps_to_reach, rows):
+    end is REACHED, MAX_STEPS or DIVERGED (past MAX_SPEED_MPS or
+    MAX_BODY_RATE_RADPS after a step, or a non-finite RK4 step), and the
+    trace keeps the row of the last step."""
+    goal = np.asarray(target, dtype=float)
+    tx, ty, tz = goal.tolist()
     # A squared distance beyond this band has no norm within the tolerance,
     # so np.linalg.norm, which decides, runs only inside it.
     band = (SUCCESS_TOLERANCE_M * (1 + 1e-9)) ** 2
@@ -88,13 +88,13 @@ def _run_to_goal(command_fn, y: np.ndarray, target, params: SimParams,
     def reached(y):
         px, py, pz = y[0:3].tolist()
         d2 = (px - tx) * (px - tx) + (py - ty) * (py - ty) + (pz - tz) * (pz - tz)
-        return d2 <= band and np.linalg.norm(y[0:3] - target) <= SUCCESS_TOLERANCE_M
+        return d2 <= band and np.linalg.norm(y[0:3] - goal) <= SUCCESS_TOLERANCE_M
 
     rows: list[str] = []
     if reached(y):
         return y, TermStatus.REACHED, 0, rows
     for t in range(MAX_EVAL_STEPS):
-        action, thrust, rates = command_fn(y)
+        action, thrust, rates = command_fn(y, target)
         try:
             y = step_flat(y, thrust, rates, params)
         except NonFiniteError:
@@ -117,16 +117,21 @@ def actor_platform(actor: nn.Mlp) -> Platform:
     raise nn.ShapeMismatchError(f"actor layers {actor.layer_sizes} fit no platform")
 
 
-def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
-                n_faulty: int = 0, trace_dir: str | None = None) -> list[TrialResult]:
-    """Hover-recovery trials around HOVER_TARGET, with n_faulty servos that
-    obey each commanded rate with probability FAULT_RESPONSE_PROBABILITY.
+def run_hover_eval(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
+                   trace_dir: str | None = None, n_faulty: int = 0) -> list[TrialResult]:
+    """Hover recovery of the actor's platform from random initial states
+    around HOVER_TARGET, with n_faulty servos that obey each commanded rate
+    with probability FAULT_RESPONSE_PROBABILITY.
 
-    Trial k's SeedSequence([seed, k]) drives the faulty-servo choice, then
-    the initial state; a stream spawned from it drives the servo responses,
-    so two policies evaluated with the same seed see identical conditions
-    and draws, whichever process of neuralnet.fork_map runs the trial.
-    Choosing zero servos draws nothing: hover is the zero-fault case."""
+    Initialization follows the training distribution with the shrunk Euler
+    range (no SO(3) warmup at evaluation). Success: within 0.2 m of the
+    target at any step within the budget. Trial k's SeedSequence([seed, k])
+    drives the faulty-servo choice, then the initial state; a stream spawned
+    from it drives the servo responses, so two policies evaluated with the
+    same seed see identical conditions and draws, whichever process of
+    neuralnet.fork_map runs the trial. Choosing zero servos draws nothing:
+    hover is the zero-fault case. With trace_dir, each trial's trace is
+    written to trace_dir/hover_trace_NNN.csv as the trial ends."""
     platform = actor_platform(actor)
     cfg = EpisodeConfig(target_position_m=HOVER_TARGET, so3_warmup_episodes=0)
 
@@ -137,8 +142,8 @@ def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
         y = reset_state(init_rng, cfg, 0, params)
         frng = np.random.default_rng(trial_seed.spawn(1)[0])
 
-        def cmd_fn(y):
-            a, thrust, rates = policy_command(actor, y, HOVER_TARGET, platform, params)
+        def cmd_fn(y, target):
+            a, thrust, rates = policy_command(actor, y, target, platform, params)
             for s in faulty:
                 if frng.random() >= FAULT_RESPONSE_PROBABILITY:
                     rates[s] = 0.0
@@ -156,25 +161,13 @@ def _run_trials(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
     return nn.fork_map(run_trial, n_trials)
 
 
-def run_hover_eval(actor: nn.Mlp, params: SimParams, n_trials: int, seed: int,
-                   trace_dir: str | None = None) -> list[TrialResult]:
-    """Hover recovery of the actor's platform from random initial states.
-
-    Initialization follows the training distribution with the shrunk Euler
-    range (no SO(3) warmup at evaluation). Success: within 0.2 m of the
-    target at any step within the budget. With trace_dir, each trial's
-    trace is written to trace_dir/hover_trace_NNN.csv as the trial ends."""
-    return _run_trials(actor, params, n_trials, seed, trace_dir=trace_dir)
-
-
 def run_fault_ablation(actor: nn.Mlp, n_faulty: int, trials: int,
                        params: SimParams, seed: int) -> tuple[int, list[TrialResult]]:
-    """Servo-fault ablation on the tilt-rotor: per timestep each faulty servo
-    obeys the commanded rate with probability FAULT_RESPONSE_PROBABILITY,
-    otherwise rate 0. Returns (successes, trial results)."""
+    """Servo-fault ablation on the tilt-rotor (run_hover_eval with n_faulty
+    faulty servos). Returns (successes, trial results)."""
     if actor.in_dim != Platform.TILT_ROTOR.obs_dim:
         raise nn.ShapeMismatchError("fault ablation requires a tilt-rotor actor")
-    results = _run_trials(actor, params, trials, seed, n_faulty)
+    results = run_hover_eval(actor, params, trials, seed, n_faulty=n_faulty)
     return sum(r.success for r in results), results
 
 
@@ -263,20 +256,19 @@ def run_waypoint_mission(controller, waypoints, params: SimParams) -> MissionRes
     Returns per-waypoint hit flags and the full trace."""
     y = hover_state(params, (0.0, 0.0, waypoints[0][2]))
     if controller == "pid":
-        def command(target, y):
+        def command(y, target):
             return np.zeros(4), *pid_controller(y, target, params)
     else:
         platform = actor_platform(controller)
 
-        def command(target, y):
+        def command(y, target):
             return policy_command(controller, y, target, platform, params)
 
     rows: list[str] = []
     hits: list[bool] = []
     for wp in waypoints:
         wp = tuple(map(float, wp))
-        y, end, _, trace = _run_to_goal(functools.partial(command, wp), y, wp, params,
-                                        record_trace=True)
+        y, end, _, trace = _run_to_goal(command, y, wp, params, record_trace=True)
         rows.extend(trace)
         hits.append(end is TermStatus.REACHED)
         if not hits[-1]:

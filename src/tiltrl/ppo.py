@@ -80,9 +80,8 @@ class RolloutBuffer:
     # (T,) critic value of the final state where a MAX_STEPS ending truncated
     # the episode at this step, else zero.
     truncation_values: np.ndarray
-    episode_returns: list = field(default_factory=list)
-    episode_lengths: list = field(default_factory=list)
-    episode_ends: list = field(default_factory=list)   # TermStatus per episode
+    # (return, length, end) of each finished episode
+    episodes: list[tuple[float, int, TermStatus]] = field(default_factory=list)
 
     def __len__(self):
         return len(self.rewards)
@@ -140,15 +139,12 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     t_total = n_envs * steps_per_env
     act_buf = act_buf.reshape(t_total, act_dim)
     mean_buf = mean_buf.reshape(t_total, act_dim)
-    ended = [ep for per_env in episodes for ep in per_env]
     return RolloutBuffer(obs_buf.reshape(t_total, obs_dim), act_buf,
                          nn.gaussian_log_prob(mean_buf, cfg.sigma, act_buf),
                          rew_buf.reshape(t_total), val_buf.reshape(t_total),
                          done_buf.reshape(t_total), bootstrap, n_envs,
                          trunc_buf.reshape(t_total),
-                         episode_returns=[r for r, _, _ in ended],
-                         episode_lengths=[n for _, n, _ in ended],
-                         episode_ends=[s for _, _, s in ended])
+                         [ep for per_env in episodes for ep in per_env])
 
 
 def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
@@ -317,16 +313,15 @@ def train(envs: list[HoverEnv], policy: nn.Mlp, critic: nn.Mlp,
         buf = collect_rollout(policy, critic, envs, cfg, rng)
         losses = ppo_update(policy, critic, policy_opt, critic_opt, buf, cfg,
                             u / n_updates, rng)
+        returns, lengths, ends = zip(*buf.episodes) if buf.episodes else ((), (), ())
         row = TrainLogRow(
             update_index=u,
             env_steps=(u + 1) * cfg.rollout_horizon,
-            mean_ep_reward=(float(np.mean(buf.episode_returns))
-                            if buf.episode_returns else math.nan),
-            mean_ep_len=(float(np.mean(buf.episode_lengths))
-                         if buf.episode_lengths else math.nan),
-            n_out_of_bounds=buf.episode_ends.count(TermStatus.OUT_OF_BOUNDS),
-            n_diverged=buf.episode_ends.count(TermStatus.DIVERGED),
-            n_max_steps=buf.episode_ends.count(TermStatus.MAX_STEPS),
+            mean_ep_reward=float(np.mean(returns)) if returns else math.nan,
+            mean_ep_len=float(np.mean(lengths)) if lengths else math.nan,
+            n_out_of_bounds=ends.count(TermStatus.OUT_OF_BOUNDS),
+            n_diverged=ends.count(TermStatus.DIVERGED),
+            n_max_steps=ends.count(TermStatus.MAX_STEPS),
             action_clip_fraction=float(np.mean(np.abs(buf.actions) > 1.0)),
             **losses)
         log.append(row)

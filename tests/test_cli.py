@@ -369,7 +369,10 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, command, corrup
                                       ("TILTRL_INIT_SPEED_MAX_MPS", "-1"),
                                       ("TILTRL_INIT_RATE_MAX_RADPS", "-1"),
                                       ("TILTRL_EULER_INIT_RANGE_RAD", "-0.5"),
-                                      ("TILTRL_INERTIA_DIAG", "0.0082,, 0.0082, 0.0164")])
+                                      ("TILTRL_INERTIA_DIAG", "0.0082,, 0.0082, 0.0164"),
+                                      ("TILTRL_MASS_KG", "10"),
+                                      ("TILTRL_THRUST_RANGE_N", "0, 3"),
+                                      ("TILTRL_SO3_WARMUP_EPISODES", "-5")])
 def test_unusable_config_value_is_runtime_error(tmp_path, capsys, var, raw):
     assert run(tmp_path, "train-quad", "--steps", "64", "--out", str(tmp_path / "o"),
                env={var: raw}) == 2
@@ -498,6 +501,19 @@ class TestEval:
         assert "--controller pid" in err and "--mode waypoint" in err
         assert not (tmp_path / "ev").exists()
 
+    def test_pid_controller_takes_no_checkpoint(self, tmp_path, capsys):
+        # The PID mission flies no actor, so a checkpoint beside it, whether
+        # it exists or not, is a usage error rather than ignored.
+        _quad_checkpoint(tmp_path / "c.bin")
+        for checkpoint in (tmp_path / "c.bin", tmp_path / "nope.bin"):
+            with pytest.raises(SystemExit) as e:
+                main(["eval", str(checkpoint), "--mode", "waypoint", "--controller", "pid",
+                      "--out", str(tmp_path / "ev")])
+            assert e.value.code == 1
+            err = capsys.readouterr().err
+            assert "--controller pid" in err and str(checkpoint) in err
+            assert not (tmp_path / "ev").exists()
+
     def test_policy_mode_requires_checkpoint(self, tmp_path):
         rc = run(tmp_path, "eval", "--mode", "hover",
                  "--out", str(tmp_path / "ev"))
@@ -527,6 +543,17 @@ class TestConfigPlumbing:
                  "--seed", "3", "--out", str(tmp_path / "o"))
         assert rc == 2
         assert "missing config key" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        assert main(["write-config", str(path)]) == 0
+        path.write_bytes(path.read_bytes() + b"# caf\xe9 in Latin-1\n")
+        rc = run(tmp_path, "train-quad", "--config", str(path), "--steps", "64",
+                 "--out", str(tmp_path / "o"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config file {path}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_exit_code(self, tmp_path):
         with pytest.raises(SystemExit) as e:

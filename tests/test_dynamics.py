@@ -48,6 +48,9 @@ class TestSimParams:
         {"tilt_angle_range_rad": (0.5, -0.5)},   # symmetric but inverted
         {"tilt_rate_range_radps": (0.0, 6.0)},   # ordered but not symmetric
         {"moment_ratio_m": 0.0},
+        {"mass_kg": 10.0},                     # hover thrust 24.5 N above the range
+        {"thrust_range_n": (0.0, 3.0)},        # hover thrust 3.7 N above the range
+        {"thrust_range_n": (4.0, 15.0)},       # hover thrust 3.7 N below the range
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

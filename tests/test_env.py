@@ -207,11 +207,15 @@ class TestReset:
     @pytest.mark.parametrize("key, part, at_zero", [
         ("init_speed_max_mps", slice(3, 6), [0.0, 0.0, 0.0]),
         ("init_rate_max_radps", slice(10, 13), [0.0, 0.0, 0.0]),
-        ("euler_init_range_rad", slice(6, 10), [1.0, 0.0, 0.0, 0.0])])
+        ("euler_init_range_rad", slice(6, 10), [1.0, 0.0, 0.0, 0.0]),
+        ("so3_warmup_episodes", slice(6, 10), [1.0, 0.0, 0.0, 0.0])])
     def test_negative_range_rejected_zero_kept(self, key, part, at_zero):
         with pytest.raises(ValueError, match=key):
-            EpisodeConfig(**{key: -0.5})
-        s = reset_state(np.random.default_rng(0), EpisodeConfig(**{key: 0.0}), 600, PARAMS)
+            EpisodeConfig(**{key: -1})
+        # Without warm-up, episode 0 already draws from the Euler range, here
+        # zero wide too; the default warm-up would draw it uniform on SO(3).
+        cfg = EpisodeConfig(**{"so3_warmup_episodes": 0, "euler_init_range_rad": 0.0, key: 0})
+        s = reset_state(np.random.default_rng(0), cfg, 0, PARAMS)
         assert s[part].tolist() == at_zero
 
     def test_so3_mean_rotation_angle(self):

@@ -26,9 +26,9 @@ def blowup_actor():
     return nn.make_mlp([22, 64, 64, 8], np.random.default_rng(22), output_tanh=True)
 
 
-def pid_command(target, p):
+def pid_command(p):
     """_run_to_goal command function: the PID baseline, zero action vector."""
-    return lambda y: (np.zeros(4), *ev.pid_controller(y, target, p))
+    return lambda y, target: (np.zeros(4), *ev.pid_controller(y, target, p))
 
 
 class TestPidController:
@@ -70,16 +70,14 @@ class TestPidController:
         st = hover_state(p, (0.0, 0.0, 3.0))
         monkeypatch.setattr(ev, "MAX_EVAL_STEPS", 1500)
         monkeypatch.setattr(ev, "SUCCESS_TOLERANCE_M", 0.1)
-        _, end, steps, _ = ev._run_to_goal(
-            pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p)
+        _, end, steps, _ = ev._run_to_goal(pid_command(p), st, (1.0, 0.0, 3.0), p)
         assert end is TermStatus.REACHED and 0 < steps < 1500
 
     def test_attitude_recovery_from_roll(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
         st[6:10] = quat_from_euler_zyx(0.3, 0.0, 0.0)
-        _, end, _, _ = ev._run_to_goal(
-            pid_command((0.0, 0.0, 3.0), p), st, (0.0, 0.0, 3.0), p)
+        _, end, _, _ = ev._run_to_goal(pid_command(p), st, (0.0, 0.0, 3.0), p)
         assert end is TermStatus.REACHED
 
 
@@ -87,25 +85,34 @@ class TestRunToGoal:
     def test_immediate_success_at_target(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        _, end, steps, _ = ev._run_to_goal(
-            pid_command((0.0, 0.0, 3.0), p), st, (0.0, 0.0, 3.0), p)
+        _, end, steps, _ = ev._run_to_goal(pid_command(p), st, (0.0, 0.0, 3.0), p)
         assert end is TermStatus.REACHED and steps == 0
 
     def test_stops_at_reach(self):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
-        _, end, steps, rows = ev._run_to_goal(
-            pid_command((1.0, 0.0, 3.0), p), st, (1.0, 0.0, 3.0), p,
-            record_trace=True)
+        _, end, steps, rows = ev._run_to_goal(pid_command(p), st, (1.0, 0.0, 3.0), p,
+                                              record_trace=True)
         assert end is TermStatus.REACHED
         assert len(rows) == steps
+
+    def test_commands_are_handed_the_callers_tuple(self, monkeypatch):
+        p, target = SimParams(), (1.0, 0.0, 3.0)
+        monkeypatch.setattr(ev, "MAX_EVAL_STEPS", 5)
+        seen = []
+
+        def cmd(y, goal):
+            seen.append(goal)
+            return pid_command(p)(y, goal)
+
+        ev._run_to_goal(cmd, hover_state(p, (0.0, 0.0, 3.0)), target, p)
+        assert len(seen) == 5 and all(goal is target for goal in seen)
 
     def test_budget_exhaustion_fails(self, monkeypatch):
         p = SimParams()
         st = hover_state(p, (0.0, 0.0, 3.0))
         monkeypatch.setattr(ev, "MAX_EVAL_STEPS", 50)
-        _, end, steps, _ = ev._run_to_goal(
-            pid_command((100.0, 0.0, 3.0), p), st, (100.0, 0.0, 3.0), p)
+        _, end, steps, _ = ev._run_to_goal(pid_command(p), st, (100.0, 0.0, 3.0), p)
         assert end is TermStatus.MAX_STEPS and steps == -1
 
     def test_reach_decision_at_the_tolerance_is_the_norms(self, monkeypatch):
@@ -125,7 +132,7 @@ class TestRunToGoal:
                 st = hover_state(p, target + u * radius)
                 d = st[0:3] - target
                 want = bool(np.linalg.norm(d) <= tol)
-                _, end, steps, _ = ev._run_to_goal(pid_command(target, p), st, target, p)
+                _, end, steps, _ = ev._run_to_goal(pid_command(p), st, target, p)
                 assert (end is TermStatus.REACHED) == want and steps == (0 if want else -1)
                 d0, d1, d2 = d.tolist()
                 scalar_differs += (d0 * d0 + d1 * d1 + d2 * d2 <= tol * tol) != want
@@ -140,7 +147,7 @@ class TestEnvelope:
         st = hover_state(p, (0.0, 0.0, 3.0))
         st[block] = value
         target = (5.0, 0.0, 3.0)
-        _, end, steps, rows = ev._run_to_goal(pid_command(target, p), st, target, p,
+        _, end, steps, rows = ev._run_to_goal(pid_command(p), st, target, p,
                                               record_trace=True)
         assert end is TermStatus.DIVERGED and steps == -1
         assert len(rows) == 1
@@ -157,9 +164,9 @@ class TestEnvelope:
         start = hover_state(p, (0.5, -0.3, 2.6))
 
         def run(seen):
-            def cmd(y):
+            def cmd(y, target):
                 seen.append(y)
-                return ev.policy_command(actor, y, ev.HOVER_TARGET, Platform.TILT_ROTOR, p)
+                return ev.policy_command(actor, y, target, Platform.TILT_ROTOR, p)
             return ev._run_to_goal(cmd, start, ev.HOVER_TARGET, p, record_trace=True)
 
         monkeypatch.setattr(ev, "MAX_SPEED_MPS", math.inf)
@@ -292,7 +299,8 @@ class TestFaultAblation:
             monkeypatch.setattr(ev, "FAULT_RESPONSE_PROBABILITY", probability)
             trace_dir = tmp_path / str(probability)
             trace_dir.mkdir()
-            ev._run_trials(actor, SimParams(), 2, seed=2, n_faulty=4, trace_dir=str(trace_dir))
+            ev.run_hover_eval(actor, SimParams(), 2, seed=2, trace_dir=str(trace_dir),
+                              n_faulty=4)
             return np.vstack([np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, tilt]
                               for path in sorted(trace_dir.iterdir())])
 

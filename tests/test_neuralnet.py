@@ -5,6 +5,7 @@ import glob
 import math
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -439,6 +440,19 @@ class TestCheckpoint:
             with open(path) as fh:
                 Opens(os.path.basename(path)).visit(ast.parse(fh.read()))
         assert writers == ["neuralnet.py:atomic_open"]
+
+    def test_package_imports_only_the_standard_library_and_numpy(self):
+        # The north star is a numpy-only stack, and pyproject.toml declares
+        # numpy as the one dependency.
+        imported = set()
+        for path in sorted(glob.glob(os.path.join(os.path.dirname(nn.__file__), "*.py"))):
+            with open(path) as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.Import):
+                        imported.update(alias.name.split(".")[0] for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        imported.add(node.module.split(".")[0])
+        assert imported - set(sys.stdlib_module_names) <= {"numpy"}
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

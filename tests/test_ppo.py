@@ -129,7 +129,7 @@ class TestCollectRollout:
         cfg = ppo.TrainConfig(rollout_horizon=2, n_envs=2)
         buf = ppo.collect_rollout(policy, critic, envs, cfg, np.random.default_rng(0))
         # The train log's n_diverged counts these endings.
-        assert buf.episode_ends == [TermStatus.DIVERGED]
+        assert [end for _, _, end in buf.episodes] == [TermStatus.DIVERGED]
         assert buf.dones.tolist() == [1.0, 0.0]
         assert envs[0].t == 0 and np.isfinite(envs[0].y).all()
 
@@ -148,8 +148,7 @@ class TestCollectRollout:
         expect = np.zeros(20)
         expect[[4, 9, 14, 19]] = 1.0
         np.testing.assert_allclose(buf.dones, expect)
-        assert buf.episode_returns == [5.0, 5.0, 5.0, 5.0]
-        assert buf.episode_lengths == [5, 5, 5, 5]
+        assert [(r, n) for r, n, _ in buf.episodes] == [(5.0, 5)] * 4
         # Tail steps ended episodes, so no bootstrap.
         np.testing.assert_allclose(buf.bootstrap, 0.0)
 
@@ -170,8 +169,7 @@ class TestCollectRollout:
             if done:
                 want.append((ret, length))
                 ret, length = 0.0, 0
-        got = [*zip(first.episode_returns, first.episode_lengths),
-               *zip(second.episode_returns, second.episode_lengths)]
+        got = [(r, n) for r, n, _ in first.episodes + second.episodes]
         assert got == want
         assert envs[0].episode_return == ret and envs[0].t == length
 
