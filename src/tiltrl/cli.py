@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faulty", type=int, default=1, choices=[1, 2, 3, 4])
     p.add_argument("--controller", choices=["policy", "pid"], default="policy")
     common(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, usage_error=p.error)
 
     p = sub.add_parser("write-config", help="write the default config file")
     p.add_argument("path")
@@ -231,9 +231,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "controller", None) == "pid":
         if args.mode != "waypoint":
-            parser.error("--controller pid needs --mode waypoint")
+            args.usage_error("--controller pid needs --mode waypoint")
         if args.checkpoint is not None:
-            parser.error(f"--controller pid flies no checkpoint, got {args.checkpoint}")
+            args.usage_error(f"--controller pid flies no checkpoint, got {args.checkpoint}")
     out = getattr(args, "out", None)
     try:
         if out is not None and os.path.exists(out) and (not os.path.isdir(out)

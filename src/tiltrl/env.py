@@ -196,6 +196,10 @@ class HoverEnv:
     `counter`, which a pool shares so that the SO(3) warm-up counts the
     pool's episodes. `t` counts the steps of the current episode and
     `episode_return` sums their rewards.
+
+    ppo.collect_rollout steps a pool's halves in two processes; before a
+    reset, each advances its copy of `counter` past the other's resets that
+    come earlier in (time step, env) order, so indices stay in that order.
     """
 
     def __init__(self, platform: Platform, params: SimParams, cfg: EpisodeConfig,

@@ -5,14 +5,15 @@ and Adam cancels a constant scale of its gradient up to eps.
 
 The action distribution is N(actor(obs), sigma^2 I) with constant sigma, so
 entropy is constant and no entropy bonus is optimized. Rollouts are
-collected time-major, the env pool stepping in lockstep with one stacked
-actor and one stacked critic forward per time step, and stored env-major:
-all steps of env 0, then env 1, and so on.
+collected time-major, each half of the env pool stepping in lockstep on its
+own core with one stacked actor and one stacked critic forward per time
+step, and stored env-major: all steps of env 0, then env 1, and so on.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import astuple, dataclass, field, fields
 
@@ -95,56 +96,109 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     tail step ended an episode, including divergence), and so is each
     episode that MAX_STEPS truncated, from the state it ended in.
 
-    The pool steps in lockstep: at each time step one actor forward and one
-    critic forward run on the stacked observations, shaped (n_envs, 1,
-    obs_dim) so that each row is the same vector-matrix product a single
-    observation gets. The whole rollout's noise is drawn up front in
-    env-major order. Resets take episode indices from the pool's shared
-    counter in time order."""
+    Each half of the pool steps in lockstep: at each time step one actor
+    forward and one critic forward run on its stacked observations, shaped
+    (k, 1, obs_dim) so that each row is the same vector-matrix product a
+    single observation gets. The whole rollout's noise is drawn up front in env-major order.
+
+    neuralnet.fork_map steps envs [0, ceil(n/2)) here and the rest in a
+    forked child; both fill one shared mapping in place, and the child hands
+    back its episodes and env states. Resets take episode indices from the
+    pool's counter in (time step, env) order: a half ticks a pipe after each
+    step, and before a reset at step t advances its copy of the counter past
+    the other half's resets of the steps before t (first half) or through t
+    (second half), so the two halves never both wait.
+    """
     n_envs = len(envs)
     steps_per_env = cfg.rollout_horizon // n_envs
     obs = np.array([env.observe() if env.y is not None else env.reset()
                     for env in envs], dtype=float)
     obs_dim, act_dim = obs.shape[1], policy.out_dim
-
-    obs_buf = np.empty((n_envs, steps_per_env, obs_dim))
-    mean_buf = np.empty((n_envs, steps_per_env, act_dim))
-    rew_buf = np.empty((n_envs, steps_per_env))
-    val_buf = np.empty((n_envs, steps_per_env))
-    done_buf = np.zeros((n_envs, steps_per_env))
-    trunc_buf = np.zeros((n_envs, steps_per_env))
     noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
-    act_buf = np.empty_like(noise)
-    episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in envs]
-    for t in range(steps_per_env):
-        obs_buf[:, t] = obs
-        mean = nn.forward(policy, obs[:, None, :])[:, 0]
-        mean_buf[:, t] = mean
-        val_buf[:, t] = nn.forward(critic, obs[:, None, :])[:, 0, 0]
-        action = mean + cfg.sigma * noise[:, t]
-        act_buf[:, t] = action
-        for e, env in enumerate(envs):
-            ob, r, status = env.step(action[e])
-            rew_buf[e, t] = r
-            if status is not TermStatus.RUNNING:
-                done_buf[e, t] = 1.0
-                episodes[e].append((env.episode_return, env.t, status))
-                if status is TermStatus.MAX_STEPS:
-                    trunc_buf[e, t] = nn.forward(critic, ob)[0]
-                ob = env.reset()
-            obs[e] = ob
-    tail = nn.forward(critic, obs[:, None, :])[:, 0, 0]
+    rows = (n_envs, steps_per_env)
+    shapes = [(*rows, obs_dim), (*rows, act_dim), rows, rows, rows, rows, rows,
+              (n_envs,), (2, steps_per_env)]
+    sizes = [math.prod(s) for s in shapes]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))   # zeros, shared across fork
+    (obs_buf, act_buf, logp_buf, rew_buf, val_buf, done_buf, trunc_buf, tail,
+     resets) = (a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
+    counter = envs[0].counter
+    bounds = (0, -(-n_envs // 2), n_envs)
+    pipes = [os.pipe(), os.pipe()]   # pipes[i] carries half i's step ticks
+    open_fds = {fd for pipe in pipes for fd in pipe}
+
+    def half(i):
+        # Without the other half's writer here, a read sees EOF once it ended.
+        os.close(pipes[1 - i][1])
+        open_fds.discard(pipes[1 - i][1])
+        # The other half's steps counted so far; a pool of one has none.
+        seen = 0 if n_envs > 1 else steps_per_env
+
+        def pass_other(upto):
+            """Advance the counter past the other half's resets in its steps
+            before `upto`; False if that half ended without taking them."""
+            nonlocal seen
+            while seen < upto:
+                got = len(os.read(pipes[1 - i][0], upto - seen))
+                if not got:
+                    return False
+                for _ in range(int(resets[1 - i, seen:seen + got].sum())):
+                    next(counter)
+                seen += got
+            return True
+
+        lo, hi = bounds[i], bounds[i + 1]
+        ob_rows = obs[lo:hi]
+        means = np.empty((hi - lo, steps_per_env, act_dim))
+        episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in range(hi - lo)]
+        for t in range(steps_per_env):
+            obs_buf[lo:hi, t] = ob_rows
+            mean = nn.forward(policy, ob_rows[:, None, :])[:, 0]
+            means[:, t] = mean
+            val_buf[lo:hi, t] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
+            action = mean + cfg.sigma * noise[lo:hi, t]
+            act_buf[lo:hi, t] = action
+            for k, env in enumerate(envs[lo:hi]):
+                ob, r, status = env.step(action[k])
+                rew_buf[lo + k, t] = r
+                if status is not TermStatus.RUNNING:
+                    done_buf[lo + k, t] = 1.0
+                    episodes[k].append((env.episode_return, env.t, status))
+                    if status is TermStatus.MAX_STEPS:
+                        trunc_buf[lo + k, t] = nn.forward(critic, ob)[0]
+                    if not pass_other(t + i):
+                        return None   # fork_map raises what ended the child
+                    ob = env.reset()
+                    resets[i, t] += 1
+                ob_rows[k] = ob
+            if n_envs > 1:
+                # A pipe never fills: it holds at most steps_per_env ticks, and
+                # about 2 * max_steps, as each env resets within max_steps steps.
+                os.write(pipes[i][1], b"\0")
+        if not pass_other(steps_per_env):
+            return None
+        tail[lo:hi] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
+        logp_buf[lo:hi] = nn.gaussian_log_prob(means, cfg.sigma, act_buf[lo:hi])
+        return episodes, [(env.y, env.t, env.episode_return, env.rng.bit_generator.state)
+                          for env in envs[lo:hi]]
+
+    try:
+        parts = nn.fork_map(half, min(n_envs, 2))
+    finally:
+        for fd in open_fds:
+            os.close(fd)
+    for env, (y, t, episode_return, rng_state) in zip(envs, (s for p in parts for s in p[1])):
+        env.y, env.t, env.episode_return = y, t, episode_return
+        env.rng.bit_generator.state = rng_state
     bootstrap = np.where(done_buf[:, -1] == 0.0, tail, 0.0)
 
     t_total = n_envs * steps_per_env
-    act_buf = act_buf.reshape(t_total, act_dim)
-    mean_buf = mean_buf.reshape(t_total, act_dim)
-    return RolloutBuffer(obs_buf.reshape(t_total, obs_dim), act_buf,
-                         nn.gaussian_log_prob(mean_buf, cfg.sigma, act_buf),
+    return RolloutBuffer(obs_buf.reshape(t_total, obs_dim), act_buf.reshape(t_total, act_dim),
+                         logp_buf.reshape(t_total),
                          rew_buf.reshape(t_total), val_buf.reshape(t_total),
                          done_buf.reshape(t_total), bootstrap, n_envs,
                          trunc_buf.reshape(t_total),
-                         [ep for per_env in episodes for ep in per_env])
+                         [ep for part in parts for per_env in part[0] for ep in per_env])
 
 
 def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):

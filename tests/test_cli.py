@@ -497,7 +497,8 @@ class TestEval:
             main(["eval", *checkpoint, "--mode", mode, "--controller", "pid",
                   "--out", str(tmp_path / "ev")])
         assert e.value.code == 1
-        err = capsys.readouterr().err
+        usage, err = capsys.readouterr().err.split("error: ")
+        assert usage.startswith("usage: tiltrl eval ") and "--controller" in usage
         assert "--controller pid" in err and "--mode waypoint" in err
         assert not (tmp_path / "ev").exists()
 
@@ -510,7 +511,8 @@ class TestEval:
                 main(["eval", str(checkpoint), "--mode", "waypoint", "--controller", "pid",
                       "--out", str(tmp_path / "ev")])
             assert e.value.code == 1
-            err = capsys.readouterr().err
+            usage, err = capsys.readouterr().err.split("error: ")
+            assert usage.startswith("usage: tiltrl eval ") and "--mode" in usage
             assert "--controller pid" in err and str(checkpoint) in err
             assert not (tmp_path / "ev").exists()
 

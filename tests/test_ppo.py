@@ -16,10 +16,10 @@ from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
                         RewardWeights, TermStatus)
 
 
-def make_envs(n, seed=0, platform=Platform.QUAD):
+def make_envs(n, seed=0, platform=Platform.QUAD, episode=EpisodeConfig()):
     counter = itertools.count()
     seqs = np.random.SeedSequence(seed).spawn(n)
-    return [HoverEnv(platform, SimParams(), EpisodeConfig(), RewardWeights(),
+    return [HoverEnv(platform, SimParams(), episode, RewardWeights(),
                      np.random.default_rng(s), counter) for s in seqs]
 
 
@@ -50,6 +50,39 @@ def brute_force_gae(rewards, values, dones, bootstrap, gamma, lam):
     return adv
 
 
+def lockstep_oracle(policy, critic, envs, cfg, rng):
+    """The rollout as one plain loop: every env, in order at every time
+    step, takes a single-row actor and critic forward, steps, and resets
+    through the pool's one counter. The noise block is drawn up front as
+    collect_rollout draws it. Returns the buffer's arrays, env-major."""
+    n, steps = len(envs), cfg.rollout_horizon // len(envs)
+    obs = [env.observe() if env.y is not None else env.reset() for env in envs]
+    noise = rng.standard_normal((n, steps, policy.out_dim))
+    out = {name: np.zeros((n, steps, *shape)) for name, shape in [
+        ("obs", (len(obs[0]),)), ("actions", (policy.out_dim,)), ("log_probs", ()),
+        ("rewards", ()), ("values", ()), ("dones", ()), ("truncation_values", ())]}
+    episodes = [[] for _ in envs]
+    for t in range(steps):
+        for e, env in enumerate(envs):
+            mean = nn.forward(policy, obs[e])
+            action = mean + cfg.sigma * noise[e, t]
+            out["obs"][e, t], out["actions"][e, t] = obs[e], action
+            out["log_probs"][e, t] = nn.gaussian_log_prob(mean, cfg.sigma, action)
+            out["values"][e, t] = nn.forward(critic, obs[e])[0]
+            obs[e], out["rewards"][e, t], status = env.step(action)
+            if status is not TermStatus.RUNNING:
+                out["dones"][e, t] = 1.0
+                episodes[e].append((env.episode_return, env.t, status))
+                if status is TermStatus.MAX_STEPS:
+                    out["truncation_values"][e, t] = nn.forward(critic, obs[e])[0]
+                obs[e] = env.reset()
+    out = {name: a.reshape(n * steps, *a.shape[2:]) for name, a in out.items()}
+    out["bootstrap"] = np.array([0.0 if out["dones"][(e + 1) * steps - 1]
+                                 else nn.forward(critic, obs[e])[0] for e in range(n)])
+    out["episodes"] = [ep for per_env in episodes for ep in per_env]
+    return out
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = ppo.TrainConfig()
@@ -75,9 +108,12 @@ class TestTrainConfig:
 
 
 class FixedRewardEnv:
-    """Minimal env stand-in: fixed observation, reward 1.0, episode of 5."""
+    """Minimal env stand-in: fixed observation, reward 1.0, episode of 5.
+    It has the pool counter and the RNG that collect_rollout reads."""
 
     def __init__(self):
+        self.counter = itertools.count()
+        self.rng = np.random.default_rng(0)
         self.y = None
         self.t = 0
         self.episode_return = 0.0
@@ -251,6 +287,69 @@ class TestCollectRollout:
         assert a.obs.tobytes() == b.obs.tobytes()
         assert a.actions.tobytes() == b.actions.tobytes()
         assert a.rewards.tobytes() == b.rewards.tobytes()
+
+    # Episodes of 9 steps start in step with each other, so at every reset
+    # step both halves of the pool reset, and each warm-up end below falls
+    # inside such a step of the second rollout, between two envs.
+    @pytest.mark.parametrize("n_envs, warmup", [(7, 17), (3, 8), (1, 2)])
+    def test_serial_oracle_bit_exact_across_warmup_end(self, n_envs, warmup):
+        episode = EpisodeConfig(max_steps=9, so3_warmup_episodes=warmup)
+        cfg = ppo.TrainConfig(rollout_horizon=16 * n_envs, n_envs=n_envs, sigma=0.7)
+        policy, critic = make_nets(seed=4)
+        envs, twins = make_envs(n_envs, 4, episode=episode), make_envs(n_envs, 4, episode=episode)
+        rng, twin_rng = np.random.default_rng(11), np.random.default_rng(11)
+        started = n_envs   # the pool's first episodes
+        for _ in range(2):
+            buf = ppo.collect_rollout(policy, critic, envs, cfg, rng)
+            want = lockstep_oracle(policy, critic, twins, cfg, twin_rng)
+            for name in ("obs", "actions", "log_probs", "rewards", "values", "dones",
+                         "bootstrap", "truncation_values"):
+                assert getattr(buf, name).tobytes() == want[name].tobytes(), name
+            assert buf.episodes == want["episodes"]
+            for env, twin in zip(envs, twins):
+                assert (env.y.tobytes(), env.t, env.episode_return) == (
+                    twin.y.tobytes(), twin.t, twin.episode_return)
+                assert env.rng.bit_generator.state == twin.rng.bit_generator.state
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
+            started += len(buf.episodes)
+        assert started - len(buf.episodes) <= warmup < started   # the second rollout crosses it
+        assert next(envs[0].counter) == next(twins[0].counter) == started
+
+    @pytest.mark.parametrize("failing", [0, -1])
+    def test_step_failure_in_either_half_is_raised(self, monkeypatch, failing):
+        # env 0 steps in this process and the last env in the forked child.
+        # Either way the step's own exception reaches the caller, with no
+        # hang and, by the autouse fixture in conftest.py, no child left.
+        envs = make_envs(3, seed=1)
+        real_step = HoverEnv.step
+
+        def step(env, action):
+            if env is envs[failing] and env.t == 20:
+                raise ValueError("step failed")
+            return real_step(env, action)
+
+        def hung(*_):
+            raise TimeoutError("collect_rollout hung")
+
+        monkeypatch.setattr(HoverEnv, "step", step)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ValueError, match="^step failed$"):
+                ppo.collect_rollout(*make_nets(), envs, ppo.TrainConfig(
+                    rollout_horizon=3 * 64, n_envs=3), np.random.default_rng(0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_no_descriptor_left_open(self):
+        envs = make_envs(4)
+        policy, critic = make_nets()
+        cfg = ppo.TrainConfig(rollout_horizon=64, n_envs=4)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            ppo.collect_rollout(policy, critic, envs, cfg, np.random.default_rng(0))
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestGae:
