@@ -103,50 +103,27 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
 
     neuralnet.fork_map steps envs [0, ceil(n/2)) here and the rest in a
     forked child; both fill one shared mapping in place, and the child hands
-    back its episodes and env states. Resets take episode indices from the
-    pool's counter in (time step, env) order: a half ticks a pipe after each
-    step, and before a reset at step t advances its copy of the counter past
-    the other half's resets of the steps before t (first half) or through t
-    (second half), so the two halves never both wait.
+    back its episodes and env states. Each env takes its episode indices
+    from its own counter, so neither half reads the other's progress; the
+    pool's envs must not share one.
     """
     n_envs = len(envs)
+    if len({id(env.counter) for env in envs}) < n_envs:
+        raise ValueError("the envs of a pool must not share an episode counter")
     steps_per_env = cfg.rollout_horizon // n_envs
     obs = np.array([env.observe() if env.y is not None else env.reset()
                     for env in envs], dtype=float)
     obs_dim, act_dim = obs.shape[1], policy.out_dim
     noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
     rows = (n_envs, steps_per_env)
-    shapes = [(*rows, obs_dim), (*rows, act_dim), rows, rows, rows, rows, rows,
-              (n_envs,), (2, steps_per_env)]
+    shapes = [(*rows, obs_dim), (*rows, act_dim), rows, rows, rows, rows, rows, (n_envs,)]
     sizes = [math.prod(s) for s in shapes]
     flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))   # zeros, shared across fork
-    (obs_buf, act_buf, logp_buf, rew_buf, val_buf, done_buf, trunc_buf, tail,
-     resets) = (a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
-    counter = envs[0].counter
+    obs_buf, act_buf, logp_buf, rew_buf, val_buf, done_buf, trunc_buf, tail = (
+        a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
     bounds = (0, -(-n_envs // 2), n_envs)
-    pipes = [os.pipe(), os.pipe()]   # pipes[i] carries half i's step ticks
-    open_fds = {fd for pipe in pipes for fd in pipe}
 
     def half(i):
-        # Without the other half's writer here, a read sees EOF once it ended.
-        os.close(pipes[1 - i][1])
-        open_fds.discard(pipes[1 - i][1])
-        # The other half's steps counted so far; a pool of one has none.
-        seen = 0 if n_envs > 1 else steps_per_env
-
-        def pass_other(upto):
-            """Advance the counter past the other half's resets in its steps
-            before `upto`; False if that half ended without taking them."""
-            nonlocal seen
-            while seen < upto:
-                got = len(os.read(pipes[1 - i][0], upto - seen))
-                if not got:
-                    return False
-                for _ in range(int(resets[1 - i, seen:seen + got].sum())):
-                    next(counter)
-                seen += got
-            return True
-
         lo, hi = bounds[i], bounds[i + 1]
         ob_rows = obs[lo:hi]
         means = np.empty((hi - lo, steps_per_env, act_dim))
@@ -166,30 +143,23 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
                     episodes[k].append((env.episode_return, env.t, status))
                     if status is TermStatus.MAX_STEPS:
                         trunc_buf[lo + k, t] = nn.forward(critic, ob)[0]
-                    if not pass_other(t + i):
-                        return None   # fork_map raises what ended the child
                     ob = env.reset()
-                    resets[i, t] += 1
                 ob_rows[k] = ob
-            if n_envs > 1:
-                # A pipe never fills: it holds at most steps_per_env ticks, and
-                # about 2 * max_steps, as each env resets within max_steps steps.
-                os.write(pipes[i][1], b"\0")
-        if not pass_other(steps_per_env):
-            return None
         tail[lo:hi] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
         logp_buf[lo:hi] = nn.gaussian_log_prob(means, cfg.sigma, act_buf[lo:hi])
         return episodes, [(env.y, env.t, env.episode_return, env.rng.bit_generator.state)
                           for env in envs[lo:hi]]
 
-    try:
-        parts = nn.fork_map(half, min(n_envs, 2))
-    finally:
-        for fd in open_fds:
-            os.close(fd)
-    for env, (y, t, episode_return, rng_state) in zip(envs, (s for p in parts for s in p[1])):
-        env.y, env.t, env.episode_return = y, t, episode_return
-        env.rng.bit_generator.state = rng_state
+    parts = nn.fork_map(half, min(n_envs, 2))
+    # The child stepped copies of the second half's envs: take their states,
+    # and advance each counter once per episode the copy finished and reset.
+    for episodes, states in parts[1:]:
+        for env, finished, (y, t, episode_return, rng_state) in zip(
+                envs[bounds[1]:], episodes, states):
+            env.y, env.t, env.episode_return = y, t, episode_return
+            env.rng.bit_generator.state = rng_state
+            for _ in finished:
+                next(env.counter)
     bootstrap = np.where(done_buf[:, -1] == 0.0, tail, 0.0)
 
     t_total = n_envs * steps_per_env

@@ -17,10 +17,11 @@ from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
 
 
 def make_envs(n, seed=0, platform=Platform.QUAD, episode=EpisodeConfig()):
-    counter = itertools.count()
+    """A pool of n envs, env e counting its episodes as cli.make_envs does."""
     seqs = np.random.SeedSequence(seed).spawn(n)
     return [HoverEnv(platform, SimParams(), episode, RewardWeights(),
-                     np.random.default_rng(s), counter) for s in seqs]
+                     np.random.default_rng(s), itertools.count(e, n))
+            for e, s in enumerate(seqs)]
 
 
 def make_nets(platform=Platform.QUAD, hidden=(16, 16), seed=0):
@@ -53,7 +54,7 @@ def brute_force_gae(rewards, values, dones, bootstrap, gamma, lam):
 def lockstep_oracle(policy, critic, envs, cfg, rng):
     """The rollout as one plain loop: every env, in order at every time
     step, takes a single-row actor and critic forward, steps, and resets
-    through the pool's one counter. The noise block is drawn up front as
+    through its own counter. The noise block is drawn up front as
     collect_rollout draws it. Returns the buffer's arrays, env-major."""
     n, steps = len(envs), cfg.rollout_horizon // len(envs)
     obs = [env.observe() if env.y is not None else env.reset() for env in envs]
@@ -108,10 +109,12 @@ class TestTrainConfig:
 
 
 class FixedRewardEnv:
-    """Minimal env stand-in: fixed observation, reward 1.0, episode of 5.
-    It has the pool counter and the RNG that collect_rollout reads."""
+    """Minimal env stand-in: fixed observation, reward 1.0, episodes of
+    `length` steps (5; math.inf never ends one). It has its own episode
+    counter and the RNG that collect_rollout reads."""
 
-    def __init__(self):
+    def __init__(self, length=5):
+        self.length = length
         self.counter = itertools.count()
         self.rng = np.random.default_rng(0)
         self.y = None
@@ -132,7 +135,7 @@ class FixedRewardEnv:
     def step(self, action):
         self.t += 1
         self.episode_return += 1.0
-        status = TermStatus.MAX_STEPS if self.t >= 5 else TermStatus.RUNNING
+        status = TermStatus.MAX_STEPS if self.t >= self.length else TermStatus.RUNNING
         return self.observe(), 1.0, status
 
 
@@ -288,9 +291,11 @@ class TestCollectRollout:
         assert a.actions.tobytes() == b.actions.tobytes()
         assert a.rewards.tobytes() == b.rewards.tobytes()
 
-    # Episodes of 9 steps start in step with each other, so at every reset
-    # step both halves of the pool reset, and each warm-up end below falls
-    # inside such a step of the second rollout, between two envs.
+    # Env e of n starts pool episodes e, e + n, e + 2n, ... With episodes of
+    # at most 9 steps and rollouts of 16 steps per env, the first episode
+    # past each warm-up below starts inside the second rollout, where the
+    # child's envs take their indices from counters that only the first
+    # rollout's hand-back advanced.
     @pytest.mark.parametrize("n_envs, warmup", [(7, 17), (3, 8), (1, 2)])
     def test_serial_oracle_bit_exact_across_warmup_end(self, n_envs, warmup):
         episode = EpisodeConfig(max_steps=9, so3_warmup_episodes=warmup)
@@ -298,8 +303,9 @@ class TestCollectRollout:
         policy, critic = make_nets(seed=4)
         envs, twins = make_envs(n_envs, 4, episode=episode), make_envs(n_envs, 4, episode=episode)
         rng, twin_rng = np.random.default_rng(11), np.random.default_rng(11)
-        started = n_envs   # the pool's first episodes
+        nxt = np.arange(n_envs) + n_envs   # each env's next index after its first episode
         for _ in range(2):
+            first = nxt.copy()
             buf = ppo.collect_rollout(policy, critic, envs, cfg, rng)
             want = lockstep_oracle(policy, critic, twins, cfg, twin_rng)
             for name in ("obs", "actions", "log_probs", "rewards", "values", "dones",
@@ -311,9 +317,11 @@ class TestCollectRollout:
                     twin.y.tobytes(), twin.t, twin.episode_return)
                 assert env.rng.bit_generator.state == twin.rng.bit_generator.state
             assert rng.bit_generator.state == twin_rng.bit_generator.state
-            started += len(buf.episodes)
-        assert started - len(buf.episodes) <= warmup < started   # the second rollout crosses it
-        assert next(envs[0].counter) == next(twins[0].counter) == started
+            nxt += n_envs * buf.dones.reshape(n_envs, -1).sum(axis=1).astype(int)
+        started = {i for e in range(n_envs) for i in range(first[e], nxt[e], n_envs)}
+        assert warmup in started   # the second rollout crosses the warm-up end
+        assert ([next(env.counter) for env in envs] == [next(twin.counter) for twin in twins]
+                == nxt.tolist())
 
     @pytest.mark.parametrize("failing", [0, -1])
     def test_step_failure_in_either_half_is_raised(self, monkeypatch, failing):
@@ -341,6 +349,37 @@ class TestCollectRollout:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_shared_counter_is_rejected(self):
+        # Each half would hand out the shared counter's indices on its own,
+        # so the pool would start some indices twice and overrun the warm-up.
+        envs = make_envs(2)
+        envs[1].counter = envs[0].counter
+        with pytest.raises(ValueError, match="share an episode counter"):
+            ppo.collect_rollout(*make_nets(), envs, ppo.TrainConfig(
+                rollout_horizon=4, n_envs=2), np.random.default_rng(0))
+
+    def test_episodes_that_never_end_do_not_hang(self):
+        # 70 000 steps per half without a reset: neither half waits on the
+        # other, however long it steps.
+        envs = [FixedRewardEnv(length=math.inf), FixedRewardEnv(length=math.inf)]
+        rng = np.random.default_rng(1)
+        policy = nn.make_mlp([3, 4, 2], rng, output_tanh=True)
+        critic = nn.make_mlp([3, 4, 1], rng, output_tanh=False)
+
+        def hung(*_):
+            raise TimeoutError("collect_rollout hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            buf = ppo.collect_rollout(policy, critic, envs, ppo.TrainConfig(
+                rollout_horizon=2 * 70_000, n_envs=2), np.random.default_rng(0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert buf.dones.sum() == 0 and buf.episodes == []
+        assert [env.t for env in envs] == [70_000, 70_000]
 
     def test_no_descriptor_left_open(self):
         envs = make_envs(4)
