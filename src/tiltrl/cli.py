@@ -63,14 +63,11 @@ def seed_int(text: str) -> int:
 
 
 def make_envs(platform: Platform, cfg: RunConfig, seed: int) -> list[HoverEnv]:
-    """Independent env pool; RNGs split deterministically from the seed.
-    Env e of n counts its own episodes with itertools.count(e, n), so its
-    j-th episode is pool episode j * n + e."""
-    n = cfg.train.n_envs
-    seqs = np.random.SeedSequence([seed, 0xE17]).spawn(n)
+    """Independent env pool; RNGs split deterministically from the seed."""
+    counter = itertools.count()
+    seqs = np.random.SeedSequence([seed, 0xE17]).spawn(cfg.train.n_envs)
     return [HoverEnv(platform, cfg.sim, cfg.episode, cfg.rewards,
-                     np.random.default_rng(s), itertools.count(e, n))
-            for e, s in enumerate(seqs)]
+                     np.random.default_rng(s), counter) for s in seqs]
 
 
 def source_sha256() -> str:

@@ -191,11 +191,12 @@ def reset_state(rng: np.random.Generator, cfg: EpisodeConfig,
 class HoverEnv:
     """Gym-style wrapper: reset() -> obs, step(action) -> (obs, reward, status).
 
-    Each instance owns its RNG, its flat state `y` (layout in `dynamics`,
-    None before the first reset) and `counter`, which yields the index of
-    each episode it starts and so decides the SO(3) warm-up; in a pool, each
-    env has its own (cli.make_envs). `t` counts the steps of the current
-    episode and `episode_return` sums their rewards.
+    Each instance owns its RNG and its flat state `y` (layout in `dynamics`,
+    None before the first reset); instances are independent but for
+    `counter`, which a pool shares so that the SO(3) warm-up counts the
+    pool's episodes (ppo.collect_rollout leaves the pool sharing a fresh
+    counter at its next index). `t` counts the steps of the current episode
+    and `episode_return` sums their rewards.
     """
 
     def __init__(self, platform: Platform, params: SimParams, cfg: EpisodeConfig,

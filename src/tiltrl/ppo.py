@@ -12,6 +12,7 @@ step, and stored env-major: all steps of env 0, then env 1, and so on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -88,6 +89,14 @@ class RolloutBuffer:
         return len(self.rewards)
 
 
+def _env_state(env: HoverEnv) -> tuple:
+    return env.y, env.t, env.episode_return, env.rng.bit_generator.state
+
+
+def _set_env_state(env: HoverEnv, state: tuple) -> None:
+    env.y, env.t, env.episode_return, env.rng.bit_generator.state = state
+
+
 def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
                     cfg: TrainConfig, rng: np.random.Generator) -> RolloutBuffer:
     """Run the env pool for rollout_horizon steps total, sampling actions
@@ -103,16 +112,21 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
 
     neuralnet.fork_map steps envs [0, ceil(n/2)) here and the rest in a
     forked child; both fill one shared mapping in place, and the child hands
-    back its episodes and env states. Each env takes its episode indices
-    from its own counter, so neither half reads the other's progress; the
-    pool's envs must not share one.
+    back its episodes and env states. Resets take the pool's episode indices
+    in (time step, env) order, but an index only decides whether the episode
+    is an SO(3) warm-up one (index < so3_warmup_episodes), so each half
+    counts from the rollout's first index on its own, and neither reads the
+    other's progress. A rollout whose indices straddle the warm-up end is
+    stepped again from its start, whole, in this process, where its one
+    counter gives each reset its index in order. Afterwards the pool's envs
+    share a counter at the pool's next index.
     """
     n_envs = len(envs)
-    if len({id(env.counter) for env in envs}) < n_envs:
-        raise ValueError("the envs of a pool must not share an episode counter")
     steps_per_env = cfg.rollout_horizon // n_envs
     obs = np.array([env.observe() if env.y is not None else env.reset()
                     for env in envs], dtype=float)
+    start = next(envs[0].counter)
+    saved = obs.copy(), [_env_state(env) for env in envs]
     obs_dim, act_dim = obs.shape[1], policy.out_dim
     noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
     rows = (n_envs, steps_per_env)
@@ -123,8 +137,10 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
         a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
     bounds = (0, -(-n_envs // 2), n_envs)
 
-    def half(i):
-        lo, hi = bounds[i], bounds[i + 1]
+    def run(lo, hi):
+        counter = itertools.count(start)
+        for env in envs[lo:hi]:
+            env.counter = counter
         ob_rows = obs[lo:hi]
         means = np.empty((hi - lo, steps_per_env, act_dim))
         episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in range(hi - lo)]
@@ -147,19 +163,21 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
                 ob_rows[k] = ob
         tail[lo:hi] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
         logp_buf[lo:hi] = nn.gaussian_log_prob(means, cfg.sigma, act_buf[lo:hi])
-        return episodes, [(env.y, env.t, env.episode_return, env.rng.bit_generator.state)
-                          for env in envs[lo:hi]]
+        return episodes, [_env_state(env) for env in envs[lo:hi]]
 
-    parts = nn.fork_map(half, min(n_envs, 2))
-    # The child stepped copies of the second half's envs: take their states,
-    # and advance each counter once per episode the copy finished and reset.
-    for episodes, states in parts[1:]:
-        for env, finished, (y, t, episode_return, rng_state) in zip(
-                envs[bounds[1]:], episodes, states):
-            env.y, env.t, env.episode_return = y, t, episode_return
-            env.rng.bit_generator.state = rng_state
-            for _ in finished:
-                next(env.counter)
+    parts = nn.fork_map(lambda i: run(bounds[i], bounds[i + 1]), min(n_envs, 2))
+    if len(parts) > 1 and start < envs[0].cfg.so3_warmup_episodes < start + done_buf.sum():
+        obs[:] = saved[0]
+        flat[:] = 0.0
+        for env, state in zip(envs, saved[1]):
+            _set_env_state(env, state)
+        parts = [run(0, n_envs)]
+    # The child stepped copies of the second half's envs: take every state back.
+    for env, state in zip(envs, (state for part in parts for state in part[1])):
+        _set_env_state(env, state)
+    counter = itertools.count(start + int(done_buf.sum()))   # one reset per ended episode
+    for env in envs:
+        env.counter = counter
     bootstrap = np.where(done_buf[:, -1] == 0.0, tail, 0.0)
 
     t_total = n_envs * steps_per_env

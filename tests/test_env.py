@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -7,9 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tiltrl.env
-from tiltrl.cli import make_envs
-from tiltrl.config import default_config
 from tiltrl.dynamics import (SimParams, euler_zyx, hover_state,
                              quat_from_euler_zyx, quat_to_rot)
 from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
@@ -253,22 +249,13 @@ class TestTerminated:
 
 
 class TestHoverEnv:
-    def test_pool_deals_episode_indices_round_robin(self, monkeypatch):
-        # Env e of a pool of n starts pool episodes e, e + n, e + 2n, ...
-        cfg = default_config()
-        train = dataclasses.replace(cfg.train, n_envs=3, rollout_horizon=96)
-        pool = make_envs(Platform.QUAD, dataclasses.replace(cfg, train=train), seed=0)
-        indices = []
-
-        def recording_reset_state(rng, episode, index, params):
-            indices.append(index)
-            return reset_state(rng, episode, index, params)
-
-        monkeypatch.setattr(tiltrl.env, "reset_state", recording_reset_state)
-        for _ in range(3):
-            pool[0].reset()
-        pool[1].reset()
-        assert (indices[:3], indices[3:]) == ([0, 3, 6], [1])
+    def test_counter_shared_across_pool(self):
+        counter = itertools.count()
+        envs = [HoverEnv(Platform.QUAD, PARAMS, CFG, WEIGHTS,
+                         np.random.default_rng(i), counter) for i in range(4)]
+        for env in envs:
+            env.reset()
+        assert next(counter) == 4
 
     def test_step_statuses(self):
         env = make_env(cfg=EpisodeConfig(max_steps=5))

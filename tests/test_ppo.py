@@ -17,11 +17,10 @@ from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
 
 
 def make_envs(n, seed=0, platform=Platform.QUAD, episode=EpisodeConfig()):
-    """A pool of n envs, env e counting its episodes as cli.make_envs does."""
+    counter = itertools.count()
     seqs = np.random.SeedSequence(seed).spawn(n)
     return [HoverEnv(platform, SimParams(), episode, RewardWeights(),
-                     np.random.default_rng(s), itertools.count(e, n))
-            for e, s in enumerate(seqs)]
+                     np.random.default_rng(s), counter) for s in seqs]
 
 
 def make_nets(platform=Platform.QUAD, hidden=(16, 16), seed=0):
@@ -54,7 +53,7 @@ def brute_force_gae(rewards, values, dones, bootstrap, gamma, lam):
 def lockstep_oracle(policy, critic, envs, cfg, rng):
     """The rollout as one plain loop: every env, in order at every time
     step, takes a single-row actor and critic forward, steps, and resets
-    through its own counter. The noise block is drawn up front as
+    through the pool's one counter. The noise block is drawn up front as
     collect_rollout draws it. Returns the buffer's arrays, env-major."""
     n, steps = len(envs), cfg.rollout_horizon // len(envs)
     obs = [env.observe() if env.y is not None else env.reset() for env in envs]
@@ -84,6 +83,36 @@ def lockstep_oracle(policy, critic, envs, cfg, rng):
     return out
 
 
+class WarmupLengthEnv:
+    """Env stand-in whose SO(3) warm-up episodes last 3 steps and later ones
+    5, so an episode's index decides where it ends. Its flat state holds the
+    episode's length; observation fixed, reward 1.0."""
+
+    def __init__(self, counter, warmup):
+        self.counter = counter
+        self.cfg = EpisodeConfig(so3_warmup_episodes=warmup)
+        self.rng = np.random.default_rng(0)
+        self.y = None
+        self.t = 0
+        self.episode_return = 0.0
+
+    def reset(self):
+        warm = next(self.counter) < self.cfg.so3_warmup_episodes
+        self.y = np.full(21, 3.0 if warm else 5.0)
+        self.t = 0
+        self.episode_return = 0.0
+        return self.observe()
+
+    def observe(self):
+        return np.full(3, 0.5)
+
+    def step(self, action):
+        self.t += 1
+        self.episode_return += 1.0
+        status = TermStatus.MAX_STEPS if self.t >= self.y[0] else TermStatus.RUNNING
+        return self.observe(), 1.0, status
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = ppo.TrainConfig()
@@ -110,11 +139,12 @@ class TestTrainConfig:
 
 class FixedRewardEnv:
     """Minimal env stand-in: fixed observation, reward 1.0, episodes of
-    `length` steps (5; math.inf never ends one). It has its own episode
-    counter and the RNG that collect_rollout reads."""
+    `length` steps (5; math.inf never ends one). It has the pool counter,
+    the episode config and the RNG that collect_rollout reads."""
 
     def __init__(self, length=5):
         self.length = length
+        self.cfg = EpisodeConfig()
         self.counter = itertools.count()
         self.rng = np.random.default_rng(0)
         self.y = None
@@ -291,11 +321,9 @@ class TestCollectRollout:
         assert a.actions.tobytes() == b.actions.tobytes()
         assert a.rewards.tobytes() == b.rewards.tobytes()
 
-    # Env e of n starts pool episodes e, e + n, e + 2n, ... With episodes of
-    # at most 9 steps and rollouts of 16 steps per env, the first episode
-    # past each warm-up below starts inside the second rollout, where the
-    # child's envs take their indices from counters that only the first
-    # rollout's hand-back advanced.
+    # Episodes of 9 steps start in step with each other, so at every reset
+    # step both halves of the pool reset, and each warm-up end below falls
+    # inside such a step of the second rollout, between two envs.
     @pytest.mark.parametrize("n_envs, warmup", [(7, 17), (3, 8), (1, 2)])
     def test_serial_oracle_bit_exact_across_warmup_end(self, n_envs, warmup):
         episode = EpisodeConfig(max_steps=9, so3_warmup_episodes=warmup)
@@ -303,9 +331,8 @@ class TestCollectRollout:
         policy, critic = make_nets(seed=4)
         envs, twins = make_envs(n_envs, 4, episode=episode), make_envs(n_envs, 4, episode=episode)
         rng, twin_rng = np.random.default_rng(11), np.random.default_rng(11)
-        nxt = np.arange(n_envs) + n_envs   # each env's next index after its first episode
+        started = n_envs   # the pool's first episodes
         for _ in range(2):
-            first = nxt.copy()
             buf = ppo.collect_rollout(policy, critic, envs, cfg, rng)
             want = lockstep_oracle(policy, critic, twins, cfg, twin_rng)
             for name in ("obs", "actions", "log_probs", "rewards", "values", "dones",
@@ -317,11 +344,32 @@ class TestCollectRollout:
                     twin.y.tobytes(), twin.t, twin.episode_return)
                 assert env.rng.bit_generator.state == twin.rng.bit_generator.state
             assert rng.bit_generator.state == twin_rng.bit_generator.state
-            nxt += n_envs * buf.dones.reshape(n_envs, -1).sum(axis=1).astype(int)
-        started = {i for e in range(n_envs) for i in range(first[e], nxt[e], n_envs)}
-        assert warmup in started   # the second rollout crosses the warm-up end
-        assert ([next(env.counter) for env in envs] == [next(twin.counter) for twin in twins]
-                == nxt.tolist())
+            started += len(buf.episodes)
+        assert started - len(buf.episodes) <= warmup < started   # the second rollout crosses it
+        assert next(envs[0].counter) == next(twins[0].counter) == started
+
+    def test_rollout_straddling_warmup_end_matches_serial_loop(self):
+        # Indices 0-3 start the first episodes; the resets at step 2 take
+        # 4-7, and only 4 and 5 are warm-up ones. Each half counting its own
+        # resets from 4 would give envs 2 and 3 warm-up episodes that end two
+        # steps early, so the rollout is stepped again in one process.
+        def pool():
+            counter = itertools.count()
+            return [WarmupLengthEnv(counter, warmup=6) for _ in range(4)]
+
+        envs, twins = pool(), pool()
+        rng = np.random.default_rng(1)
+        policy = nn.make_mlp([3, 4, 2], rng, output_tanh=True)
+        critic = nn.make_mlp([3, 4, 1], rng, output_tanh=False)
+        cfg = ppo.TrainConfig(rollout_horizon=4 * 12, n_envs=4)
+        buf = ppo.collect_rollout(policy, critic, envs, cfg, np.random.default_rng(2))
+        want = lockstep_oracle(policy, critic, twins, cfg, np.random.default_rng(2))
+        for name in ("obs", "actions", "log_probs", "rewards", "values", "dones",
+                     "bootstrap", "truncation_values"):
+            assert getattr(buf, name).tobytes() == want[name].tobytes(), name
+        assert buf.episodes == want["episodes"]
+        assert [(env.y[0], env.t) for env in envs] == [(twin.y[0], twin.t) for twin in twins]
+        assert next(envs[0].counter) == next(twins[0].counter) == 4 + len(want["episodes"])
 
     @pytest.mark.parametrize("failing", [0, -1])
     def test_step_failure_in_either_half_is_raised(self, monkeypatch, failing):
@@ -349,15 +397,6 @@ class TestCollectRollout:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-
-    def test_shared_counter_is_rejected(self):
-        # Each half would hand out the shared counter's indices on its own,
-        # so the pool would start some indices twice and overrun the warm-up.
-        envs = make_envs(2)
-        envs[1].counter = envs[0].counter
-        with pytest.raises(ValueError, match="share an episode counter"):
-            ppo.collect_rollout(*make_nets(), envs, ppo.TrainConfig(
-                rollout_horizon=4, n_envs=2), np.random.default_rng(0))
 
     def test_episodes_that_never_end_do_not_hang(self):
         # 70 000 steps per half without a reset: neither half waits on the

@@ -175,9 +175,10 @@ class TestFrozenThroughTraining:
             "w1": net.weights[1].copy(),
             "b1": net.biases[1].copy(),
         }
+        counter = itertools.count()
         envs = [HoverEnv(Platform.TILT_ROTOR, SimParams(), EpisodeConfig(),
-                         RewardWeights(), np.random.default_rng(s), itertools.count(e, 2))
-                for e, s in enumerate(np.random.SeedSequence(7).spawn(2))]
+                         RewardWeights(), np.random.default_rng(s), counter)
+                for s in np.random.SeedSequence(7).spawn(2)]
         cfg = ppo.TrainConfig(total_steps=128, rollout_horizon=32, n_envs=2,
                               lr0=1e-3)
         ppo.train(envs, net, critic, cfg, np.random.default_rng(8), tmp_path)
