@@ -258,13 +258,21 @@ def _read(fh, fmt):
     return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
+def _read_flag(fh) -> bool:
+    (flag,) = _read(fh, "<B")
+    if flag > 1:
+        raise CheckpointError(f"checkpoint {fh.name!r}: flag byte {flag} is not 0 or 1")
+    return bool(flag)
+
+
 def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
     (name_len,) = _read(fh, "<B")
     try:
         name = _read_exact(fh, name_len).decode("ascii")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"checkpoint {fh.name!r}: a network name is not ASCII") from exc
-    output_tanh, n_layers = _read(fh, "<BB")
+    output_tanh = _read_flag(fh)
+    (n_layers,) = _read(fh, "<B")
     shapes = [_read(fh, "<II") for _ in range(n_layers)]
     if not shapes or any(cols != rows for (rows, _), (_, cols) in zip(shapes, shapes[1:])):
         raise CheckpointError(f"checkpoint {fh.name!r}: {name!r} layer shapes {shapes}"
@@ -273,13 +281,12 @@ def _unpack_net(fh) -> tuple[str, Mlp, AdamState | None]:
     if 9 * sum(rows * cols + rows for rows, cols in shapes) > (
             os.fstat(fh.fileno()).st_size - fh.tell()):
         raise CheckpointError(f"truncated checkpoint {fh.name!r}")
-    net = Mlp(shapes, bool(output_tanh))
+    net = Mlp(shapes, output_tanh)
     opt = None
 
     def opt_header():
         nonlocal opt
-        (has_opt,) = _read(fh, "<B")
-        if has_opt:
+        if _read_flag(fh):
             opt = AdamState(np.zeros_like(net.params), np.zeros_like(net.params),
                             *_read(fh, "<Qddd"))
         return opt
@@ -387,6 +394,8 @@ def load_checkpoint(path):
         nets = _Nets()
         for _ in range(n_nets):
             name, net, opt = _unpack_net(fh)
+            if name in nets:
+                raise CheckpointError(f"checkpoint {fh.name!r} holds two {name!r} networks")
             nets[name] = (net, opt)
         if fh.read(1):
             raise CheckpointError(f"checkpoint {fh.name!r} has bytes after its last network")

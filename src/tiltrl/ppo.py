@@ -7,14 +7,14 @@ The action distribution is N(actor(obs), sigma^2 I) with constant sigma, so
 entropy is constant and no entropy bonus is optimized. Rollouts are
 collected time-major, each half of the env pool stepping in lockstep on its
 own core with one stacked actor and one stacked critic forward per time
-step, and stored env-major: all steps of env 0, then env 1, and so on.
+step, and stored env-major: all steps of env 0, then env 1, and so on;
+each half returns its rows, which are joined in that order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import mmap
 import os
 from dataclasses import astuple, dataclass, field, fields
 
@@ -111,82 +111,78 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     single observation gets. The whole rollout's noise is drawn up front in env-major order.
 
     neuralnet.fork_map steps envs [0, ceil(n/2)) here and the rest in a
-    forked child; both fill one shared mapping in place, and the child hands
-    back its episodes and env states. Resets take the pool's episode indices
-    in (time step, env) order, but an index only decides whether the episode
-    is an SO(3) warm-up one (index < so3_warmup_episodes), so each half
-    counts from the rollout's first index on its own, and neither reads the
-    other's progress. A rollout whose indices straddle the warm-up end is
-    stepped again from its start, whole, in this process, where its one
-    counter gives each reset its index in order. Afterwards the pool's envs
-    share a counter at the pool's next index.
+    forked child. Each half steps from its own copy of the start
+    observations and returns its rows, its envs' bootstrap values, episodes
+    and states; the halves are joined env-major. Resets take the pool's
+    episode indices in (time step, env) order, but an index only decides
+    whether the episode is an SO(3) warm-up one (index < so3_warmup_episodes),
+    so each half counts from the rollout's first index on its own, and
+    neither reads the other's progress. A rollout whose indices straddle the
+    warm-up end is stepped again from the saved env states, whole, in this
+    process, where its one counter gives each reset its index in order.
+    Afterwards the pool's envs share a counter at the pool's next index.
     """
     n_envs = len(envs)
     steps_per_env = cfg.rollout_horizon // n_envs
     obs = np.array([env.observe() if env.y is not None else env.reset()
                     for env in envs], dtype=float)
     start = next(envs[0].counter)
-    saved = obs.copy(), [_env_state(env) for env in envs]
-    obs_dim, act_dim = obs.shape[1], policy.out_dim
+    saved = [_env_state(env) for env in envs]
+    act_dim = policy.out_dim
     noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
-    rows = (n_envs, steps_per_env)
-    shapes = [(*rows, obs_dim), (*rows, act_dim), rows, rows, rows, rows, rows, (n_envs,)]
-    sizes = [math.prod(s) for s in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))   # zeros, shared across fork
-    obs_buf, act_buf, logp_buf, rew_buf, val_buf, done_buf, trunc_buf, tail = (
-        a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
     bounds = (0, -(-n_envs // 2), n_envs)
 
     def run(lo, hi):
         counter = itertools.count(start)
         for env in envs[lo:hi]:
             env.counter = counter
-        ob_rows = obs[lo:hi]
-        means = np.empty((hi - lo, steps_per_env, act_dim))
+        ob_rows = obs[lo:hi].copy()
+        rows = (hi - lo, steps_per_env)
+        obs_buf, act_buf, means = (np.empty((*rows, d)) for d in (obs.shape[1], act_dim, act_dim))
+        rew_buf, val_buf, done_buf, trunc_buf = np.zeros((4, *rows))
         episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in range(hi - lo)]
         for t in range(steps_per_env):
-            obs_buf[lo:hi, t] = ob_rows
+            obs_buf[:, t] = ob_rows
             mean = nn.forward(policy, ob_rows[:, None, :])[:, 0]
             means[:, t] = mean
-            val_buf[lo:hi, t] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
+            val_buf[:, t] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
             action = mean + cfg.sigma * noise[lo:hi, t]
-            act_buf[lo:hi, t] = action
+            act_buf[:, t] = action
             for k, env in enumerate(envs[lo:hi]):
                 ob, r, status = env.step(action[k])
-                rew_buf[lo + k, t] = r
+                rew_buf[k, t] = r
                 if status is not TermStatus.RUNNING:
-                    done_buf[lo + k, t] = 1.0
+                    done_buf[k, t] = 1.0
                     episodes[k].append((env.episode_return, env.t, status))
                     if status is TermStatus.MAX_STEPS:
-                        trunc_buf[lo + k, t] = nn.forward(critic, ob)[0]
+                        trunc_buf[k, t] = nn.forward(critic, ob)[0]
                     ob = env.reset()
                 ob_rows[k] = ob
-        tail[lo:hi] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
-        logp_buf[lo:hi] = nn.gaussian_log_prob(means, cfg.sigma, act_buf[lo:hi])
-        return episodes, [_env_state(env) for env in envs[lo:hi]]
+        tail = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
+        cols = (obs_buf, act_buf, nn.gaussian_log_prob(means, cfg.sigma, act_buf),
+                rew_buf, val_buf, done_buf, trunc_buf)
+        return ([a.reshape(-1, *a.shape[2:]) for a in cols]
+                + [np.where(done_buf[:, -1] == 0.0, tail, 0.0)],
+                [ep for per_env in episodes for ep in per_env],
+                [_env_state(env) for env in envs[lo:hi]])
 
     parts = nn.fork_map(lambda i: run(bounds[i], bounds[i + 1]), min(n_envs, 2))
-    if len(parts) > 1 and start < envs[0].cfg.so3_warmup_episodes < start + done_buf.sum():
-        obs[:] = saved[0]
-        flat[:] = 0.0
-        for env, state in zip(envs, saved[1]):
+    episodes = [ep for part in parts for ep in part[1]]
+    if len(parts) > 1 and start < envs[0].cfg.so3_warmup_episodes < start + len(episodes):
+        for env, state in zip(envs, saved):
             _set_env_state(env, state)
         parts = [run(0, n_envs)]
+        episodes = parts[0][1]
     # The child stepped copies of the second half's envs: take every state back.
-    for env, state in zip(envs, (state for part in parts for state in part[1])):
+    for env, state in zip(envs, (state for part in parts for state in part[2])):
         _set_env_state(env, state)
-    counter = itertools.count(start + int(done_buf.sum()))   # one reset per ended episode
+    counter = itertools.count(start + len(episodes))   # one reset per ended episode
     for env in envs:
         env.counter = counter
-    bootstrap = np.where(done_buf[:, -1] == 0.0, tail, 0.0)
-
-    t_total = n_envs * steps_per_env
-    return RolloutBuffer(obs_buf.reshape(t_total, obs_dim), act_buf.reshape(t_total, act_dim),
-                         logp_buf.reshape(t_total),
-                         rew_buf.reshape(t_total), val_buf.reshape(t_total),
-                         done_buf.reshape(t_total), bootstrap, n_envs,
-                         trunc_buf.reshape(t_total),
-                         [ep for part in parts for per_env in part[0] for ep in per_env])
+    obs_buf, act_buf, logp, rew, val, done, trunc, bootstrap = (
+        np.concatenate(halves) for halves in zip(*(part[0] for part in parts)))
+    return RolloutBuffer(obs_buf, act_buf, logp, rew, val, done, bootstrap, n_envs, trunc,
+                         episodes)
 
 
 def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):

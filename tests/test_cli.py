@@ -323,9 +323,10 @@ def _quad_checkpoint(path) -> bytes:
 
 
 # Malformed checkpoint bytes from a valid file's bytes. The file starts with
-# a 25-byte header and the actor's record: its name at 25-30, its layer count
-# at byte 32 and its (rows, cols) shapes (16, 18), (16, 16), (4, 16) from
-# byte 33. It ends with the critic's Adam moments.
+# a 25-byte header and the actor's record: its name at 25-30, its output_tanh
+# flag at byte 31, its layer count at byte 32 and its (rows, cols) shapes
+# (16, 18), (16, 16), (4, 16) from byte 33. It ends with the critic's Adam
+# moments.
 CORRUPTIONS = {
     "bad_magic": lambda d: b"NOPE" + d[4:],
     "bad_version": lambda d: d[:4] + struct.pack("<I", 99) + d[8:],
@@ -340,6 +341,8 @@ CORRUPTIONS = {
     "shape_past_end": lambda d: d[:37] + struct.pack("<I", 2 ** 31) + d[41:],
     "non_ascii_name": lambda d: d[:26] + b"\xff" + d[27:],
     "trailing_bytes": lambda d: d + b"\0",
+    "flag_not_0_or_1": lambda d: d[:31] + b"\x02" + d[32:],
+    "two_actors": lambda d: d.replace(b"\x06critic", b"\x05actor"),
 }
 
 

@@ -465,10 +465,12 @@ class TestForkMap:
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_results_in_index_order_bit_for_bit(self, n):
         # Index 0 runs in this process and, from n = 2, index 1 in the child.
+        # Each result is 6 MiB, more than any pipe buffer holds.
         parent = os.getpid()
-        results = nn.fork_map(lambda i: (i, os.getpid(), np.arange(3) / (i + 3)), n)
+        size = 3 << 18
+        results = nn.fork_map(lambda i: (i, os.getpid(), np.arange(size) / (i + 3)), n)
         assert [i for i, _, _ in results] == list(range(n))
-        assert [r.tobytes() for _, _, r in results] == [(np.arange(3) / (i + 3)).tobytes()
+        assert [r.tobytes() for _, _, r in results] == [(np.arange(size) / (i + 3)).tobytes()
                                                          for i in range(n)]
         assert [pid == parent for _, pid, _ in results[:2]] == [True, False][:n]
 
