@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import glob
 import hashlib
-import itertools
 import json
 import os
 import pathlib
@@ -64,10 +63,9 @@ def seed_int(text: str) -> int:
 
 def make_envs(platform: Platform, cfg: RunConfig, seed: int) -> list[HoverEnv]:
     """Independent env pool; RNGs split deterministically from the seed."""
-    counter = itertools.count()
     seqs = np.random.SeedSequence([seed, 0xE17]).spawn(cfg.train.n_envs)
     return [HoverEnv(platform, cfg.sim, cfg.episode, cfg.rewards,
-                     np.random.default_rng(s), counter) for s in seqs]
+                     np.random.default_rng(s)) for s in seqs]
 
 
 def source_sha256() -> str:
@@ -241,7 +239,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"error: --out {out} exists and is not an empty directory\n")
             return 2
         return args.func(args)
-    except (ConfigError, ShapeMismatchError, CheckpointError) as exc:
+    except (ConfigError, ShapeMismatchError, CheckpointError, ppo.NonFiniteLossError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

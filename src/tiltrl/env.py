@@ -14,7 +14,6 @@ action. `HoverEnv` and the evaluation protocols both call them.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -141,14 +140,15 @@ def reward(obs: np.ndarray, a: np.ndarray, weights: RewardWeights) -> float:
 
 
 def termination(y: np.ndarray, t: int, cfg: EpisodeConfig) -> TermStatus:
-    """Episode status of the flat state after step t, which step_flat left finite."""
+    """Episode status of the flat state after step t, which step_flat left
+    finite. A state outside the box is terminal even at the step limit."""
     yl = y.tolist()
-    if t >= cfg.max_steps:
-        return TermStatus.MAX_STEPS
     hw = cfg.bound_halfwidth_m
     tx, ty, tz = cfg.target_position_m
     if abs(yl[0] - tx) > hw or abs(yl[1] - ty) > hw or abs(yl[2] - tz) > hw:
         return TermStatus.OUT_OF_BOUNDS
+    if t >= cfg.max_steps:
+        return TermStatus.MAX_STEPS
     return TermStatus.RUNNING
 
 
@@ -189,33 +189,34 @@ def reset_state(rng: np.random.Generator, cfg: EpisodeConfig,
 
 
 class HoverEnv:
-    """Gym-style wrapper: reset() -> obs, step(action) -> (obs, reward, status).
+    """Gym-style wrapper: reset(episode_index) -> obs, step(action) -> (obs, reward, status).
 
     Each instance owns its RNG and its flat state `y` (layout in `dynamics`,
-    None before the first reset); instances are independent but for
-    `counter`, which a pool shares so that the SO(3) warm-up counts the
-    pool's episodes (ppo.collect_rollout leaves the pool sharing a fresh
-    counter at its next index). `t` counts the steps of the current episode
-    and `episode_return` sums their rewards.
+    None before the first reset); instances share nothing. `episodes`
+    counts its resets, `t` the steps of the current episode, and
+    `episode_return` sums their rewards. reset(episode_index) takes the
+    episode's index in its pool, which decides whether it is an SO(3)
+    warm-up one; ppo.collect_rollout hands the indices out.
     """
 
     def __init__(self, platform: Platform, params: SimParams, cfg: EpisodeConfig,
-                 weights: RewardWeights, rng: np.random.Generator, counter: itertools.count):
+                 weights: RewardWeights, rng: np.random.Generator):
         self.platform = platform
         self.params = params
         self.cfg = cfg
         self.weights = weights
         self.rng = rng
-        self.counter = counter
         self.y: np.ndarray | None = None
+        self.episodes = 0
         self.t = 0
         self.episode_return = 0.0
 
     def observe(self) -> np.ndarray:
         return observation(self.y, self.cfg.target_position_m, self.platform)
 
-    def reset(self) -> np.ndarray:
-        self.y = reset_state(self.rng, self.cfg, next(self.counter), self.params)
+    def reset(self, episode_index: int) -> np.ndarray:
+        self.y = reset_state(self.rng, self.cfg, episode_index, self.params)
+        self.episodes += 1
         self.t = 0
         self.episode_return = 0.0
         return self.observe()

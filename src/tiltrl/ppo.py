@@ -90,11 +90,11 @@ class RolloutBuffer:
 
 
 def _env_state(env: HoverEnv) -> tuple:
-    return env.y, env.t, env.episode_return, env.rng.bit_generator.state
+    return env.y, env.episodes, env.t, env.episode_return, env.rng.bit_generator.state
 
 
 def _set_env_state(env: HoverEnv, state: tuple) -> None:
-    env.y, env.t, env.episode_return, env.rng.bit_generator.state = state
+    env.y, env.episodes, env.t, env.episode_return, env.rng.bit_generator.state = state
 
 
 def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
@@ -113,29 +113,28 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     neuralnet.fork_map steps envs [0, ceil(n/2)) here and the rest in a
     forked child. Each half steps from its own copy of the start
     observations and returns its rows, its envs' bootstrap values, episodes
-    and states; the halves are joined env-major. Resets take the pool's
-    episode indices in (time step, env) order, but an index only decides
-    whether the episode is an SO(3) warm-up one (index < so3_warmup_episodes),
-    so each half counts from the rollout's first index on its own, and
-    neither reads the other's progress. A rollout whose indices straddle the
-    warm-up end is stepped again from the saved env states, whole, in this
-    process, where its one counter gives each reset its index in order.
-    Afterwards the pool's envs share a counter at the pool's next index.
+    and states, each env's episode count among them; the halves are joined
+    env-major. The pool's next episode index is the sum of those counts.
+    Resets take the indices in (time step, env) order, but an index only
+    decides whether the episode is an SO(3) warm-up one (index <
+    so3_warmup_episodes), so each half hands them out from the rollout's
+    first index on its own and never reads the other's progress. A rollout
+    whose indices straddle the warm-up end is stepped again, whole, in this
+    process from the saved env states.
     """
     n_envs = len(envs)
     steps_per_env = cfg.rollout_horizon // n_envs
-    obs = np.array([env.observe() if env.y is not None else env.reset()
+    index = itertools.count(sum(env.episodes for env in envs))
+    obs = np.array([env.observe() if env.y is not None else env.reset(next(index))
                     for env in envs], dtype=float)
-    start = next(envs[0].counter)
+    start = next(index)
     saved = [_env_state(env) for env in envs]
     act_dim = policy.out_dim
     noise = rng.standard_normal((n_envs, steps_per_env, act_dim))
     bounds = (0, -(-n_envs // 2), n_envs)
 
     def run(lo, hi):
-        counter = itertools.count(start)
-        for env in envs[lo:hi]:
-            env.counter = counter
+        index = itertools.count(start)
         ob_rows = obs[lo:hi].copy()
         rows = (hi - lo, steps_per_env)
         obs_buf, act_buf, means = (np.empty((*rows, d)) for d in (obs.shape[1], act_dim, act_dim))
@@ -156,7 +155,7 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
                     episodes[k].append((env.episode_return, env.t, status))
                     if status is TermStatus.MAX_STEPS:
                         trunc_buf[k, t] = nn.forward(critic, ob)[0]
-                    ob = env.reset()
+                    ob = env.reset(next(index))
                 ob_rows[k] = ob
         tail = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
         cols = (obs_buf, act_buf, nn.gaussian_log_prob(means, cfg.sigma, act_buf),
@@ -176,9 +175,6 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     # The child stepped copies of the second half's envs: take every state back.
     for env, state in zip(envs, (state for part in parts for state in part[2])):
         _set_env_state(env, state)
-    counter = itertools.count(start + len(episodes))   # one reset per ended episode
-    for env in envs:
-        env.counter = counter
     obs_buf, act_buf, logp, rew, val, done, trunc, bootstrap = (
         np.concatenate(halves) for halves in zip(*(part[0] for part in parts)))
     return RolloutBuffer(obs_buf, act_buf, logp, rew, val, done, bootstrap, n_envs, trunc,

@@ -16,7 +16,6 @@ import dataclasses
 import glob
 import hashlib
 import inspect
-import itertools
 import json
 import os
 import shutil
@@ -174,9 +173,8 @@ def deterministic_eval_reward(actor: nn.Mlp) -> float:
     for ep in range(EVAL_EPISODES):
         env = HoverEnv(platform, PARAMS, EpisodeConfig(so3_warmup_episodes=0),
                        RewardWeights(),
-                       np.random.default_rng(np.random.SeedSequence([EVAL_SEED, ep])),
-                       itertools.count())
-        obs = env.reset()
+                       np.random.default_rng(np.random.SeedSequence([EVAL_SEED, ep])))
+        obs = env.reset(0)
         total = 0.0
         while True:
             obs, r, status = env.step(nn.forward(actor, obs))
@@ -486,8 +484,8 @@ class TestUnitReproductions:
     def test_headline_constants(self):
         fh_ok = PARAMS.hover_thrust_n == 1.5 * 9.81 / 4 == 3.67875
         env = HoverEnv(Platform.QUAD, PARAMS, EpisodeConfig(), RewardWeights(),
-                       np.random.default_rng(0), itertools.count(1_000))
-        env.reset()
+                       np.random.default_rng(0))
+        env.reset(1_000)
         env.y = hover_state(PARAMS, EpisodeConfig().target_position_m)
         # Zero action holds the exact hover fixed point at the goal, so the
         # post-step reward must be exactly beta.

@@ -87,6 +87,17 @@ class TestTrainQuad:
         m = json.loads((tmp_path / "quad" / "manifest.json").read_text())
         assert m["stage"] == "quad" and "completed" not in m
 
+    def test_diverged_training_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise cli.ppo.NonFiniteLossError("non-finite loss: policy=nan value=0.5")
+
+        monkeypatch.setattr(cli.ppo, "ppo_update", diverge)
+        out = tmp_path / "quad"
+        assert run(tmp_path, "train-quad", "--steps", "64", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: non-finite loss: policy=nan value=0.5\n"
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["stage"] == "quad" and "completed" not in m
+
     def test_same_seed_identical_checkpoints(self, tmp_path):
         a = train_quad(tmp_path, "a", seed="5")
         b = train_quad(tmp_path, "b", seed="5")

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tiltrl.env
 from tiltrl.dynamics import (SimParams, euler_zyx, hover_state,
                              quat_from_euler_zyx, quat_to_rot)
 from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
@@ -19,8 +19,7 @@ CFG = EpisodeConfig()
 
 
 def make_env(platform=Platform.QUAD, seed=0, cfg=CFG):
-    return HoverEnv(platform, PARAMS, cfg, WEIGHTS, np.random.default_rng(seed),
-                    itertools.count())
+    return HoverEnv(platform, PARAMS, cfg, WEIGHTS, np.random.default_rng(seed))
 
 
 class TestObserve:
@@ -47,12 +46,12 @@ class TestObserve:
     def test_dimension_constant_over_episode(self):
         for platform in Platform:
             env = make_env(platform)
-            obs = env.reset()
+            obs = env.reset(0)
             for _ in range(50):
                 assert obs.shape == (platform.obs_dim,)
                 obs, _, status = env.step(np.zeros(platform.act_dim))
                 if status is not TermStatus.RUNNING:
-                    obs = env.reset()
+                    obs = env.reset(env.episodes)
 
 
 def scale_thrust(a, params):
@@ -243,23 +242,34 @@ class TestTerminated:
         s = hover_state(PARAMS, position=(0, 0, 7.0))
         assert termination(s, 10, CFG) is TermStatus.OUT_OF_BOUNDS
 
+    def test_out_of_bounds_outranks_the_step_limit(self):
+        # A state that left the box on the last step is terminal: the
+        # rollout must not bootstrap it as if a time limit had cut it.
+        s = hover_state(PARAMS, position=(0, 0, 7.0))
+        assert termination(s, 1500, CFG) is TermStatus.OUT_OF_BOUNDS
+
     def test_running(self):
         s = hover_state(PARAMS, position=CFG.target_position_m)
         assert termination(s, 10, CFG) is TermStatus.RUNNING
 
 
 class TestHoverEnv:
-    def test_counter_shared_across_pool(self):
-        counter = itertools.count()
-        envs = [HoverEnv(Platform.QUAD, PARAMS, CFG, WEIGHTS,
-                         np.random.default_rng(i), counter) for i in range(4)]
-        for env in envs:
-            env.reset()
-        assert next(counter) == 4
+    def test_reset_passes_its_index_and_counts_the_episode(self, monkeypatch):
+        seen = []
+
+        def spy(rng, cfg, episode_index, params):
+            seen.append(episode_index)
+            return reset_state(rng, cfg, episode_index, params)
+
+        monkeypatch.setattr(tiltrl.env, "reset_state", spy)
+        env = make_env()
+        for n, i in enumerate([7, 600, 7], start=1):
+            env.reset(i)
+            assert seen[-1] == i and env.episodes == n
 
     def test_step_statuses(self):
         env = make_env(cfg=EpisodeConfig(max_steps=5))
-        env.reset()
+        env.reset(0)
         status = TermStatus.RUNNING
         for _ in range(5):
             _, _, status = env.step(np.zeros(4))
@@ -269,7 +279,7 @@ class TestHoverEnv:
 
     def test_episode_return_is_the_sum_of_its_rewards(self):
         env = make_env(seed=5)
-        env.reset()
+        env.reset(0)
         rng = np.random.default_rng(5)
         total, status = 0.0, TermStatus.RUNNING
         while status is TermStatus.RUNNING:
@@ -277,14 +287,14 @@ class TestHoverEnv:
             total += r
             assert env.episode_return == total
         assert env.t > 1
-        env.reset()
+        env.reset(env.episodes)
         assert env.episode_return == 0.0 and env.t == 0
 
     def test_trace_schema(self, tmp_path):
         from tiltrl.env import TRACE_HEADER, trace_row
         from tiltrl.neuralnet import write_rows
         env = make_env(Platform.TILT_ROTOR)
-        env.reset()
+        env.reset(0)
         rows = []
         for t in range(5):
             a = np.zeros(8)

@@ -17,10 +17,9 @@ from tiltrl.env import (EpisodeConfig, HoverEnv, Platform,
 
 
 def make_envs(n, seed=0, platform=Platform.QUAD, episode=EpisodeConfig()):
-    counter = itertools.count()
     seqs = np.random.SeedSequence(seed).spawn(n)
     return [HoverEnv(platform, SimParams(), episode, RewardWeights(),
-                     np.random.default_rng(s), counter) for s in seqs]
+                     np.random.default_rng(s)) for s in seqs]
 
 
 def make_nets(platform=Platform.QUAD, hidden=(16, 16), seed=0):
@@ -53,10 +52,11 @@ def brute_force_gae(rewards, values, dones, bootstrap, gamma, lam):
 def lockstep_oracle(policy, critic, envs, cfg, rng):
     """The rollout as one plain loop: every env, in order at every time
     step, takes a single-row actor and critic forward, steps, and resets
-    through the pool's one counter. The noise block is drawn up front as
+    with the pool's next episode index. The noise block is drawn up front as
     collect_rollout draws it. Returns the buffer's arrays, env-major."""
     n, steps = len(envs), cfg.rollout_horizon // len(envs)
-    obs = [env.observe() if env.y is not None else env.reset() for env in envs]
+    index = itertools.count(sum(env.episodes for env in envs))
+    obs = [env.observe() if env.y is not None else env.reset(next(index)) for env in envs]
     noise = rng.standard_normal((n, steps, policy.out_dim))
     out = {name: np.zeros((n, steps, *shape)) for name, shape in [
         ("obs", (len(obs[0]),)), ("actions", (policy.out_dim,)), ("log_probs", ()),
@@ -75,7 +75,7 @@ def lockstep_oracle(policy, critic, envs, cfg, rng):
                 episodes[e].append((env.episode_return, env.t, status))
                 if status is TermStatus.MAX_STEPS:
                     out["truncation_values"][e, t] = nn.forward(critic, obs[e])[0]
-                obs[e] = env.reset()
+                obs[e] = env.reset(next(index))
     out = {name: a.reshape(n * steps, *a.shape[2:]) for name, a in out.items()}
     out["bootstrap"] = np.array([0.0 if out["dones"][(e + 1) * steps - 1]
                                  else nn.forward(critic, obs[e])[0] for e in range(n)])
@@ -88,17 +88,18 @@ class WarmupLengthEnv:
     5, so an episode's index decides where it ends. Its flat state holds the
     episode's length; observation fixed, reward 1.0."""
 
-    def __init__(self, counter, warmup):
-        self.counter = counter
+    def __init__(self, warmup):
         self.cfg = EpisodeConfig(so3_warmup_episodes=warmup)
         self.rng = np.random.default_rng(0)
         self.y = None
+        self.episodes = 0
         self.t = 0
         self.episode_return = 0.0
 
-    def reset(self):
-        warm = next(self.counter) < self.cfg.so3_warmup_episodes
+    def reset(self, episode_index):
+        warm = episode_index < self.cfg.so3_warmup_episodes
         self.y = np.full(21, 3.0 if warm else 5.0)
+        self.episodes += 1
         self.t = 0
         self.episode_return = 0.0
         return self.observe()
@@ -139,24 +140,23 @@ class TestTrainConfig:
 
 class FixedRewardEnv:
     """Minimal env stand-in: fixed observation, reward 1.0, episodes of
-    `length` steps (5; math.inf never ends one). It has the pool counter,
+    `length` steps (5; math.inf never ends one). It has the episode count,
     the episode config and the RNG that collect_rollout reads."""
 
     def __init__(self, length=5):
         self.length = length
         self.cfg = EpisodeConfig()
-        self.counter = itertools.count()
         self.rng = np.random.default_rng(0)
         self.y = None
+        self.episodes = 0
         self.t = 0
         self.episode_return = 0.0
-        self.n_resets = 0
 
-    def reset(self):
+    def reset(self, episode_index):
         self.y = np.zeros(21)
+        self.episodes += 1
         self.t = 0
         self.episode_return = 0.0
-        self.n_resets += 1
         return self.observe()
 
     def observe(self):
@@ -186,8 +186,8 @@ class TestCollectRollout:
         # training: the env reports the step DIVERGED without taking its
         # state, and the rollout counts the episode and resets that env.
         envs = make_envs(2)
-        for env in envs:
-            env.reset()
+        for i, env in enumerate(envs):
+            env.reset(i)
         envs[0].y[3] = math.inf
         before = envs[0].y.copy()
         obs, r, status = envs[0].step(np.zeros(4))
@@ -292,8 +292,8 @@ class TestCollectRollout:
 
         for e, seq in enumerate(np.random.SeedSequence(4).spawn(n)):
             env = HoverEnv(Platform.QUAD, SimParams(), EpisodeConfig(),
-                           RewardWeights(), np.random.default_rng(seq), itertools.count())
-            obs = env.reset()
+                           RewardWeights(), np.random.default_rng(seq))
+            obs = env.reset(0)
             for t in range(seg):
                 i = e * seg + t
                 assert buf.obs[i].tobytes() == obs.tobytes()
@@ -305,7 +305,7 @@ class TestCollectRollout:
                 assert buf.rewards[i] == r
                 assert buf.dones[i] == float(status is not TermStatus.RUNNING)
                 if status is not TermStatus.RUNNING:
-                    obs = env.reset()
+                    obs = env.reset(env.episodes)
             tail = 0.0 if buf.dones[e * seg + seg - 1] else nn.forward(critic, obs)[0]
             assert buf.bootstrap[e] == tail
 
@@ -346,7 +346,8 @@ class TestCollectRollout:
             assert rng.bit_generator.state == twin_rng.bit_generator.state
             started += len(buf.episodes)
         assert started - len(buf.episodes) <= warmup < started   # the second rollout crosses it
-        assert next(envs[0].counter) == next(twins[0].counter) == started
+        assert (sum(env.episodes for env in envs) == sum(twin.episodes for twin in twins)
+                == started)
 
     def test_rollout_straddling_warmup_end_matches_serial_loop(self):
         # Indices 0-3 start the first episodes; the resets at step 2 take
@@ -354,8 +355,7 @@ class TestCollectRollout:
         # resets from 4 would give envs 2 and 3 warm-up episodes that end two
         # steps early, so the rollout is stepped again in one process.
         def pool():
-            counter = itertools.count()
-            return [WarmupLengthEnv(counter, warmup=6) for _ in range(4)]
+            return [WarmupLengthEnv(warmup=6) for _ in range(4)]
 
         envs, twins = pool(), pool()
         rng = np.random.default_rng(1)
@@ -369,7 +369,20 @@ class TestCollectRollout:
             assert getattr(buf, name).tobytes() == want[name].tobytes(), name
         assert buf.episodes == want["episodes"]
         assert [(env.y[0], env.t) for env in envs] == [(twin.y[0], twin.t) for twin in twins]
-        assert next(envs[0].counter) == next(twins[0].counter) == 4 + len(want["episodes"])
+        assert (sum(env.episodes for env in envs) == sum(twin.episodes for twin in twins)
+                == 4 + len(want["episodes"]))
+
+    def test_each_env_counts_its_episodes_in_either_half(self):
+        # Envs 0-1 step in this process and 2-3 in the forked child, whose
+        # counts come back with its env states.
+        envs = [FixedRewardEnv(length) for length in (3, 4, 5, 7)]
+        rng = np.random.default_rng(1)
+        policy = nn.make_mlp([3, 4, 2], rng, output_tanh=True)
+        critic = nn.make_mlp([3, 4, 1], rng, output_tanh=False)
+        cfg = ppo.TrainConfig(rollout_horizon=4 * 12, n_envs=4)
+        buf = ppo.collect_rollout(policy, critic, envs, cfg, np.random.default_rng(0))
+        dones = buf.dones.reshape(4, 12).sum(axis=1)
+        assert [env.episodes for env in envs] == (1 + dones).tolist() == [5, 4, 3, 2]
 
     @pytest.mark.parametrize("failing", [0, -1])
     def test_step_failure_in_either_half_is_raised(self, monkeypatch, failing):

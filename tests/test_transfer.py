@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -175,9 +173,8 @@ class TestFrozenThroughTraining:
             "w1": net.weights[1].copy(),
             "b1": net.biases[1].copy(),
         }
-        counter = itertools.count()
         envs = [HoverEnv(Platform.TILT_ROTOR, SimParams(), EpisodeConfig(),
-                         RewardWeights(), np.random.default_rng(s), counter)
+                         RewardWeights(), np.random.default_rng(s))
                 for s in np.random.SeedSequence(7).spawn(2)]
         cfg = ppo.TrainConfig(total_steps=128, rollout_horizon=32, n_envs=2,
                               lr0=1e-3)
