@@ -5,8 +5,9 @@ Commands:
     tiltrl train-quad  [--config F] [--seed N] [--steps N] --out DIR
     tiltrl train-tilt  (--from CKPT | --scratch) [--config F] [--seed N]
                        [--steps N] --out DIR
-    tiltrl eval CKPT --mode {hover,waypoint,ablate} [--trials N] [--faulty N]
-                       [--controller {policy,pid}] [--seed N] --out DIR
+    tiltrl eval CKPT --mode {hover,ablate} [--trials N (10)] [--seed N] --out DIR
+                       [--faulty N (1), with --mode ablate only]
+    tiltrl eval CKPT --mode waypoint [--controller policy] --out DIR
     tiltrl eval --mode waypoint --controller pid [--seed N] --out DIR
     tiltrl write-config PATH
 
@@ -156,6 +157,7 @@ def _write_transfer_report(out_dir, reports: dict) -> None:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
+    trials, faulty = args.trials or 10, args.faulty or 1
     if args.controller == "pid":
         controller = "pid"
     else:
@@ -165,8 +167,8 @@ def cmd_eval(args) -> int:
         controller = nn.load_checkpoint(args.checkpoint)[0]["actor"][0]
         actor_platform(controller)   # a shape no platform flies fails before --out exists
     if args.mode == "ablate":   # ablation rejects a quad actor before --out exists
-        _, results = run_fault_ablation(controller, args.faulty, args.trials, cfg.sim, seed)
-        label = f"ablation ({args.faulty} faulty)"
+        _, results = run_fault_ablation(controller, faulty, trials, cfg.sim, seed)
+        label = f"ablation ({faulty} faulty)"
     os.makedirs(args.out, exist_ok=True)
 
     if args.mode == "waypoint":
@@ -176,7 +178,7 @@ def cmd_eval(args) -> int:
               f" -> {'ok' if res.all_visited else 'FAILED'}")
         return 0 if res.all_visited else 2
     if args.mode == "hover":
-        results = run_hover_eval(controller, cfg.sim, args.trials, seed, trace_dir=args.out)
+        results = run_hover_eval(controller, cfg.sim, trials, seed, trace_dir=args.out)
         label = "hover eval"
     write_rows(os.path.join(args.out, "summary.csv"), SUMMARY_HEADER, summary_rows(results))
     print(f"{label}: {sum(r.success for r in results)}/{len(results)} successes")
@@ -211,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a trained policy")
     p.add_argument("checkpoint", nargs="?", default=None)
     p.add_argument("--mode", choices=["hover", "waypoint", "ablate"], required=True)
-    p.add_argument("--trials", type=positive_int, default=10)
-    p.add_argument("--faulty", type=int, default=1, choices=[1, 2, 3, 4])
+    p.add_argument("--trials", type=positive_int, default=None)
+    p.add_argument("--faulty", type=int, default=None, choices=[1, 2, 3, 4])
     p.add_argument("--controller", choices=["policy", "pid"], default="policy")
     common(p)
     p.set_defaults(func=cmd_eval, usage_error=p.error)
@@ -232,6 +234,10 @@ def main(argv=None) -> int:
             args.usage_error("--controller pid needs --mode waypoint")
         if args.checkpoint is not None:
             args.usage_error(f"--controller pid flies no checkpoint, got {args.checkpoint}")
+    if args.command == "eval" and args.faulty is not None and args.mode != "ablate":
+        args.usage_error("--faulty needs --mode ablate")
+    if args.command == "eval" and args.trials is not None and args.mode == "waypoint":
+        args.usage_error("--mode waypoint flies one mission and takes no --trials")
     out = getattr(args, "out", None)
     try:
         if out is not None and os.path.exists(out) and (not os.path.isdir(out)

@@ -137,9 +137,10 @@ def activations(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = acts[-1] @ w.T + b
+        h = acts[-1] @ w.T
+        h += b
         if i < last or net.output_tanh:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         acts.append(h)
     return acts
 
@@ -153,13 +154,37 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     return activations(net, x)[-1]
 
 
+def backprop(net: Mlp):
+    """net's reverse pass as a function (acts, upstream) -> the gradient of
+    sum(acts[-1] * upstream) w.r.t. all parameters, acts from activations
+    on a batch; flat like net.params, exactly zero where net was frozen when
+    backprop was called. Every call overwrites and returns one buffer."""
+    g = np.empty_like(net.params)
+    gw, gb = net.views(g)
+    frozen = np.flatnonzero(net.frozen)
+    last = len(gw) - 1
+
+    def grad(acts, delta):
+        for i in range(last, -1, -1):
+            if i < last or net.output_tanh:   # d tanh = 1 - tanh^2
+                d = acts[i + 1] * acts[i + 1]
+                delta = np.multiply(np.subtract(1.0, d, out=d), delta, out=d)
+            np.matmul(delta.T, acts[i], out=gw[i])
+            np.add.reduce(delta, axis=0, out=gb[i])
+            if i > 0:
+                delta = delta @ net.weights[i]
+        g[frozen] = 0.0
+        return g
+    return grad
+
+
 def gradients(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts=None) -> np.ndarray:
     """Gradient of sum(output * upstream) w.r.t. all parameters.
 
     x and upstream may be single vectors or batches (summed over the batch).
     Frozen parameters get exactly zero gradient. acts may carry activations
     from a previous activations(net, x) to skip the forward pass.
-    Returns one flat vector laid out like net.params (net.views splits it).
+    Returns one fresh flat vector laid out like net.params (net.views splits it).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
@@ -169,37 +194,30 @@ def gradients(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts=None) -> np.nd
     if upstream.shape[-1] != net.out_dim:
         raise ShapeMismatchError(
             f"upstream dim {upstream.shape[-1]} != network output {net.out_dim}")
-
-    if acts is None:
-        acts = activations(net, x)
-    delta = upstream
-    if net.output_tanh:
-        delta = delta * (1.0 - acts[-1] ** 2)
-
-    g = np.empty_like(net.params)
-    gw, gb = net.views(g)
-    for i in range(len(gw) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=gw[i])
-        delta.sum(axis=0, out=gb[i])
-        if i > 0:
-            delta = (delta @ net.weights[i]) * (1.0 - acts[i] ** 2)
-    g[net.frozen] = 0.0
-    return g
+    return backprop(net)(activations(net, x) if acts is None else acts, upstream)
 
 
 def adam_step(net: Mlp, opt: AdamState, grad: np.ndarray, lr: float) -> None:
-    """Bias-corrected Adam update in place; frozen parameters are untouched.
-    grad is flat, laid out like net.params."""
+    """Bias-corrected Adam update in place, m and v first; frozen parameters
+    are untouched. grad is flat, laid out like net.params."""
     opt.step_count += 1
     t = opt.step_count
     b1, b2, eps = opt.beta1, opt.beta2, opt.eps
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
+    tmp = np.multiply(grad, 1.0 - b1)
     opt.m *= b1
-    opt.m += (1.0 - b1) * grad
+    opt.m += tmp
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
     opt.v *= b2
-    opt.v += (1.0 - b2) * grad * grad
-    upd = lr * (opt.m / c1) / (np.sqrt(opt.v / c2) + eps)
+    opt.v += tmp
+    np.divide(opt.v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    upd = np.divide(opt.m, c1)
+    upd *= lr
+    upd /= tmp
     upd[net.frozen] = 0.0
     net.params -= upd
 
@@ -207,11 +225,13 @@ def adam_step(net: Mlp, opt: AdamState, grad: np.ndarray, lr: float) -> None:
 def gaussian_log_prob(mean: np.ndarray, sigma: float, a: np.ndarray) -> np.ndarray:
     """Log density of a diagonal Gaussian N(mean, sigma^2 I) at a, one value
     per row of a batch."""
-    mean = np.asarray(mean, dtype=float)
-    a = np.asarray(a, dtype=float)
-    k = mean.shape[-1]
-    diff = a - mean
-    quad = np.sum(diff * diff, axis=-1) / (2.0 * sigma * sigma)
+    return gaussian_log_density(np.asarray(a, dtype=float) - np.asarray(mean, dtype=float), sigma)
+
+
+def gaussian_log_density(diff: np.ndarray, sigma: float) -> np.ndarray:
+    """Log density of N(0, sigma^2 I) at each row of diff = a - mean."""
+    k = diff.shape[-1]
+    quad = np.add.reduce(diff * diff, axis=-1) / (2.0 * sigma * sigma)
     return -0.5 * k * math.log(2.0 * math.pi) - k * math.log(sigma) - quad
 
 

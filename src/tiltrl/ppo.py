@@ -6,9 +6,9 @@ and Adam cancels a constant scale of its gradient up to eps.
 The action distribution is N(actor(obs), sigma^2 I) with constant sigma, so
 entropy is constant and no entropy bonus is optimized. Rollouts are
 collected time-major, each half of the env pool stepping in lockstep on its
-own core with one stacked actor and one stacked critic forward per time
-step, and stored env-major: all steps of env 0, then env 1, and so on;
-each half returns its rows, which are joined in that order.
+own core with one stacked actor forward per time step and one stacked
+critic pass after its last, and stored env-major: all steps of env 0, then
+env 1, and so on; each half returns its rows, which are joined in that order.
 """
 
 from __future__ import annotations
@@ -106,9 +106,11 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
     episode that MAX_STEPS truncated, from the state it ended in.
 
     Each half of the pool steps in lockstep: at each time step one actor
-    forward and one critic forward run on its stacked observations, shaped
-    (k, 1, obs_dim) so that each row is the same vector-matrix product a
-    single observation gets. The whole rollout's noise is drawn up front in env-major order.
+    forward runs on its stacked observations, shaped (k, 1, obs_dim) so that
+    each row is the same vector-matrix product a single observation gets;
+    after its last step one critic forward values all its observations,
+    shaped (k, T, 1, obs_dim) alike. The whole rollout's noise is drawn up
+    front in env-major order.
 
     neuralnet.fork_map steps envs [0, ceil(n/2)) here and the rest in a
     forked child. Each half steps from its own copy of the start
@@ -138,13 +140,12 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
         ob_rows = obs[lo:hi].copy()
         rows = (hi - lo, steps_per_env)
         obs_buf, act_buf, means = (np.empty((*rows, d)) for d in (obs.shape[1], act_dim, act_dim))
-        rew_buf, val_buf, done_buf, trunc_buf = np.zeros((4, *rows))
+        rew_buf, done_buf, trunc_buf = np.zeros((3, *rows))
         episodes: list[list[tuple[float, int, TermStatus]]] = [[] for _ in range(hi - lo)]
         for t in range(steps_per_env):
             obs_buf[:, t] = ob_rows
             mean = nn.forward(policy, ob_rows[:, None, :])[:, 0]
             means[:, t] = mean
-            val_buf[:, t] = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
             action = mean + cfg.sigma * noise[lo:hi, t]
             act_buf[:, t] = action
             for k, env in enumerate(envs[lo:hi]):
@@ -157,6 +158,7 @@ def collect_rollout(policy: nn.Mlp, critic: nn.Mlp, envs: list[HoverEnv],
                         trunc_buf[k, t] = nn.forward(critic, ob)[0]
                     ob = env.reset(next(index))
                 ob_rows[k] = ob
+        val_buf = nn.forward(critic, obs_buf[:, :, None, :])[:, :, 0, 0]
         tail = nn.forward(critic, ob_rows[:, None, :])[:, 0, 0]
         cols = (obs_buf, act_buf, nn.gaussian_log_prob(means, cfg.sigma, act_buf),
                 rew_buf, val_buf, done_buf, trunc_buf)
@@ -220,24 +222,26 @@ def _policy_steps(policy: nn.Mlp, opt: nn.AdamState, buffer: RolloutBuffer,
     """Clipped-surrogate steps through the first non-finite policy loss.
     Returns (loss, ratios, mean(old_logp - logp)) for each minibatch."""
     steps = []
+    grad = nn.backprop(policy)
+    var, lo, hi = cfg.sigma * cfg.sigma, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
     for ob, ac, a_n, old_logp in _minibatches(perms, cfg.minibatch_size, buffer.obs,
                                               buffer.actions, adv, buffer.log_probs):
+        n = len(ob)
         pol_acts = nn.activations(policy, ob)
-        mean = pol_acts[-1]
-        log_ratio = nn.gaussian_log_prob(mean, cfg.sigma, ac) - old_logp
+        diff = ac - pol_acts[-1]
+        log_ratio = nn.gaussian_log_density(diff, cfg.sigma) - old_logp
         ratio = np.exp(log_ratio)
         unclipped = ratio * a_n
-        clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * a_n
-        loss = float(-np.minimum(unclipped, clipped).mean())
-        steps.append((loss, ratio, -float(np.mean(log_ratio))))
+        clipped = ratio.clip(lo, hi) * a_n
+        loss = float(-(np.add.reduce(np.minimum(unclipped, clipped)) / n))
+        steps.append((loss, ratio, -float(np.add.reduce(log_ratio) / n)))
         if not math.isfinite(loss):
             break
         # d(-surrogate)/d(mean): gradient flows only where the
         # unclipped branch is active.
         use = (unclipped <= clipped).astype(float)
-        coef = -(use * ratio * a_n) / len(ob)
-        up_pol = coef[:, None] * (ac - mean) / (cfg.sigma * cfg.sigma)
-        nn.adam_step(policy, opt, nn.gradients(policy, ob, up_pol, acts=pol_acts), lr)
+        coef = -(use * ratio * a_n) / n
+        nn.adam_step(policy, opt, grad(pol_acts, coef[:, None] * diff / var), lr)
     return steps
 
 
@@ -246,14 +250,15 @@ def _value_steps(critic: nn.Mlp, opt: nn.AdamState, buffer: RolloutBuffer,
     """Value-regression steps through the first non-finite value loss.
     Returns the value loss, half the mean squared error, per minibatch."""
     losses = []
+    grad = nn.backprop(critic)
     for ob, ret in _minibatches(perms, cfg.minibatch_size, buffer.obs, returns):
+        n = len(ob)
         cri_acts = nn.activations(critic, ob)
         err = cri_acts[-1][:, 0] - ret
-        losses.append(0.5 * float(np.mean(err * err)))
+        losses.append(0.5 * float(np.add.reduce(err * err) / n))
         if not math.isfinite(losses[-1]):
             break
-        up_val = (err / len(ob))[:, None]
-        nn.adam_step(critic, opt, nn.gradients(critic, ob, up_val, acts=cri_acts), lr)
+        nn.adam_step(critic, opt, grad(cri_acts, (err / n)[:, None]), lr)
     return losses
 
 
@@ -289,11 +294,15 @@ def ppo_update(policy: nn.Mlp, critic: nn.Mlp, policy_opt: nn.AdamState,
             f"ratio range=({ratios[k].min()}, {ratios[k].max()})")
     critic.params[:], critic_opt.m[:], critic_opt.v[:] = params, m, v
     critic_opt.step_count = step_count
+    # Per minibatch: the share of ratios outside [1 - clip_eps, 1 + clip_eps].
+    sizes = np.array([len(r) for r in ratios])
+    n_clipped = np.add.reduceat(np.abs(np.concatenate(ratios) - 1.0) > cfg.clip_eps,
+                                np.cumsum(sizes) - sizes, dtype=float)
     var_ret = np.var(returns)
     return {
         "policy_loss": float(np.mean(pol_losses)),
         "value_loss": float(np.mean(val_losses)),
-        "clip_fraction": float(np.mean([np.mean(np.abs(r - 1.0) > cfg.clip_eps) for r in ratios])),
+        "clip_fraction": float(np.mean(n_clipped / sizes)),
         "approx_kl": float(np.mean(kls)),
         "explained_variance": (float(1.0 - np.var(returns - buffer.values) / var_ret)
                                if var_ret > 0 else math.nan),

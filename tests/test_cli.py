@@ -530,6 +530,33 @@ class TestEval:
             assert "--controller pid" in err and str(checkpoint) in err
             assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["x.bin", "--mode", "hover", "--faulty", "3"], "--faulty needs --mode ablate"),
+        (["x.bin", "--mode", "waypoint", "--faulty", "1"], "--faulty needs --mode ablate"),
+        (["x.bin", "--mode", "waypoint", "--trials", "2"], "takes no --trials"),
+        (["--mode", "waypoint", "--controller", "pid", "--trials", "2"], "takes no --trials"),
+    ], ids=["hover_faulty", "waypoint_faulty", "waypoint_trials", "pid_trials"])
+    def test_flag_its_mode_ignores_is_usage_error(self, tmp_path, capsys, argv, message):
+        # Hover flies no faulty servos and the mission has no trials, so
+        # either flag there is a usage error rather than ignored.
+        with pytest.raises(SystemExit) as e:
+            main(["eval", *argv, "--out", str(tmp_path / "ev")])
+        assert e.value.code == 1
+        usage, err = capsys.readouterr().err.split("error: ")
+        assert usage.startswith("usage: tiltrl eval ") and "--faulty" in usage
+        assert message in err
+        assert not (tmp_path / "ev").exists()
+
+    def test_ablate_without_faulty_flies_one_faulty_servo(self, tmp_path):
+        rng = np.random.default_rng(0)
+        nn.save_checkpoint(tmp_path / "c.bin", {
+            "actor": (nn.make_mlp([22, 16, 16, 8], rng), None)}, 3, 0)
+        out = tmp_path / "ev"
+        assert run(tmp_path, "eval", str(tmp_path / "c.bin"), "--mode", "ablate",
+                   "--trials", "2", "--seed", "7", "--out", str(out)) == 0
+        rows = [r.split(",") for r in (out / "summary.csv").read_text().splitlines()]
+        assert rows[0][2] == "n_faulty" and [r[2] for r in rows[1:]] == ["1", "1"]
+
     def test_policy_mode_requires_checkpoint(self, tmp_path):
         rc = run(tmp_path, "eval", "--mode", "hover",
                  "--out", str(tmp_path / "ev"))

@@ -89,14 +89,16 @@ class TestForward:
                                        [22, 64, 64, 8], [22, 64, 64, 1]])
     def test_stacked_rows_bit_identical_to_single(self, sizes, output_tanh):
         # A (N, 1, in) stack runs N vector-matrix products, the rollout's
-        # batched forward; each row must equal the single-input forward.
+        # per-step actor forward, and a (k, T, 1, in) stack k*T of them, its
+        # value pass; each row must equal the single-input forward.
         rng = np.random.default_rng(sum(sizes) + output_tanh)
         net = make_mlp(sizes, rng, output_tanh=output_tanh)
-        xs = rng.standard_normal((8, sizes[0]))
-        stacked = forward(net, xs[:, None, :])[:, 0]
-        assert stacked.shape == (8, sizes[-1])
-        for i in range(8):
-            assert stacked[i].tobytes() == forward(net, xs[i]).tobytes()
+        for stack in [(8,), (2, 5)]:
+            xs = rng.standard_normal((*stack, sizes[0]))
+            stacked = forward(net, xs[..., None, :])[..., 0, :]
+            assert stacked.shape == (*stack, sizes[-1])
+            for i in np.ndindex(stack):
+                assert stacked[i].tobytes() == forward(net, xs[i]).tobytes()
 
 
 class TestGradients:

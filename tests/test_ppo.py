@@ -699,6 +699,85 @@ class TestPpoUpdate:
         assert stats["explained_variance"] == pytest.approx(want, rel=1e-9)
 
 
+class _FirstStep(Exception):
+    """Raised by the Adam stand-in to stop a side after its first minibatch."""
+
+
+class TestUpdateGradients:
+    """The flat gradient each update side hands to nn.adam_step on its first
+    minibatch, against central finite differences of that side's loss,
+    written here from nn.forward and the Gaussian density: the clipped
+    surrogate for the policy and half the mean squared error for the
+    critic. Before any step the ratio is 1 up to rounding, so no element
+    sits on a clip kink."""
+
+    H = 1e-6
+
+    def make_case(self):
+        cfg = ppo.TrainConfig(rollout_horizon=64, n_envs=2, sigma=0.7, minibatch_size=16)
+        policy, critic = make_nets()
+        buf = ppo.collect_rollout(policy, critic, make_envs(2), cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        return policy, critic, cfg, buf, rng.standard_normal(len(buf)), [rng.permutation(len(buf))]
+
+    def first_gradient(self, monkeypatch, side, net, *args):
+        seen = []
+
+        def adam_step(net_, opt, grad, lr):
+            assert net_ is net
+            seen.append(grad.copy())
+            raise _FirstStep
+
+        monkeypatch.setattr(nn, "adam_step", adam_step)
+        with pytest.raises(_FirstStep):
+            side(net, nn.AdamState.for_net(net), *args, 1e-3)
+        return seen[0]
+
+    def finite_differences(self, net, loss):
+        params = net.params.copy()
+        fd = np.zeros_like(params)
+        for j in range(len(params)):
+            for sign in (1.0, -1.0):
+                net.params[:] = params
+                net.params[j] += sign * self.H
+                fd[j] += sign * loss() / (2.0 * self.H)
+        net.params[:] = params
+        return fd
+
+    def assert_matches(self, grad, fd, frozen):
+        assert not grad[frozen].any()
+        scale = np.abs(fd[~frozen]).max()
+        assert scale > 1e-3
+        np.testing.assert_allclose(grad[~frozen], fd[~frozen], rtol=0, atol=1e-7 * scale)
+
+    def test_policy_gradient_matches_finite_differences(self, monkeypatch):
+        policy, _, cfg, buf, adv, perms = self.make_case()
+        policy.frozen_w[0][:, :5] = True   # frozen entries get exactly zero
+        rows = perms[0][:cfg.minibatch_size]
+        ob, ac, a_n, old_logp = buf.obs[rows], buf.actions[rows], adv[rows], buf.log_probs[rows]
+        k, sigma, eps = policy.out_dim, cfg.sigma, cfg.clip_eps
+
+        def surrogate():
+            z = (ac - nn.forward(policy, ob)) / sigma
+            logp = -0.5 * (z * z).sum(axis=1) - k * math.log(sigma * math.sqrt(2 * math.pi))
+            ratio = np.exp(logp - old_logp)
+            return -np.mean(np.minimum(ratio * a_n, np.clip(ratio, 1 - eps, 1 + eps) * a_n))
+
+        grad = self.first_gradient(monkeypatch, ppo._policy_steps, policy, buf, adv, perms, cfg)
+        self.assert_matches(grad, self.finite_differences(policy, surrogate), policy.frozen)
+
+    def test_value_gradient_matches_finite_differences(self, monkeypatch):
+        _, critic, cfg, buf, returns, perms = self.make_case()
+        rows = perms[0][:cfg.minibatch_size]
+
+        def half_mse():
+            return 0.5 * np.mean((nn.forward(critic, buf.obs[rows])[:, 0] - returns[rows]) ** 2)
+
+        grad = self.first_gradient(monkeypatch, ppo._value_steps, critic, buf, returns, perms,
+                                   cfg)
+        self.assert_matches(grad, self.finite_differences(critic, half_mse), critic.frozen)
+
+
 class TestTrainLoop:
     def test_short_train_runs_and_logs(self, tmp_path):
         envs = make_envs(2)
